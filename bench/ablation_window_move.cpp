@@ -1,10 +1,10 @@
 /// \file ablation_window_move.cpp
 /// Ablation for the incremental window relocation (paper §2.4.1 moving
 /// window): full rebuild -- fresh fine lattice, whole-window voxelization
-/// and init-from-coarse, reference coupler build -- vs the shift-and-reuse
-/// path, which recycles the spare allocation, carries the surviving
-/// distributions over, re-seeds only the exposed slab and rebuilds the
-/// coupler from the cached boundary stencils. The window bounces between
+/// and init-from-coarse -- vs the shift-and-reuse path, which recycles the
+/// spare allocation, carries the surviving distributions over and
+/// re-seeds only the exposed slab. Both paths attach the same coupler.
+/// The window bounces between
 /// two snapped positions, so every benchmark iteration is exactly one
 /// relocation; reported counters give the per-move preserved /
 /// re-initialized node split.

@@ -12,116 +12,38 @@ namespace apr::core {
 
 using lbm::kQ;
 
-CouplerStencilCache CouplerStencilCache::build(int nx, int ny, int nz,
-                                               int n) {
-  if (n < 1) throw std::invalid_argument("StencilCache: n must be >= 1");
-  CouplerStencilCache cache;
-  cache.n = n;
-  cache.nx = nx;
-  cache.ny = ny;
-  cache.nz = nz;
-  // Same z,y,x scan order as the reference coupling-layer build, so a
-  // coupler built from the cache registers support nodes in the same
-  // deterministic order.
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
-        const bool boundary = x == 0 || x == nx - 1 || y == 0 ||
-                              y == ny - 1 || z == 0 || z == nz - 1;
-        if (!boundary) continue;
-        Entry e;
-        e.fine_idx = static_cast<std::uint32_t>(
-            (static_cast<std::size_t>(z) * ny + y) * nx + x);
-        const int s[3] = {x, y, z};
-        for (int a = 0; a < 3; ++a) {
-          e.cell[a] = s[a] / n;
-          e.frac[a] = static_cast<double>(s[a] % n) / n;
-        }
-        int k = 0;
-        for (int dz = 0; dz < 2; ++dz) {
-          for (int dy = 0; dy < 2; ++dy) {
-            for (int dx = 0; dx < 2; ++dx) {
-              e.weight[k++] = (dx ? e.frac[0] : 1.0 - e.frac[0]) *
-                              (dy ? e.frac[1] : 1.0 - e.frac[1]) *
-                              (dz ? e.frac[2] : 1.0 - e.frac[2]);
-            }
-          }
-        }
-        cache.entries.push_back(e);
-      }
-    }
-  }
-  return cache;
-}
-
 CoarseFineCoupler::CoarseFineCoupler(lbm::Lattice& coarse, lbm::Lattice& fine,
                                      const CouplerConfig& config)
     : coarse_(&coarse), fine_(&fine), cfg_(config) {
-  init_common();
-  build_coupling_layer();
-  finalize({0, coarse.nx(), 0, coarse.ny(), 0, coarse.nz()});
-}
-
-CoarseFineCoupler::CoarseFineCoupler(lbm::Lattice& coarse, lbm::Lattice& fine,
-                                     const CouplerConfig& config,
-                                     const CouplerStencilCache& cache)
-    : coarse_(&coarse), fine_(&fine), cfg_(config) {
-  init_common();
-  if (cache.n != cfg_.n || cache.nx != fine.nx() || cache.ny != fine.ny() ||
-      cache.nz != fine.nz()) {
-    throw std::invalid_argument("Coupler: stencil cache shape mismatch");
-  }
-  build_coupling_layer(cache);
-  // The restriction and tau-footprint candidates all lie inside the fine
-  // bounds; pad by one coarse node so floating-point edge cases land in
-  // range and let the exact contains() tests do the selection.
-  finalize(coarse_range_for(fine.bounds(), 1));
-}
-
-void CoarseFineCoupler::init_common() {
   if (cfg_.n < 1) throw std::invalid_argument("Coupler: n must be >= 1");
   if (cfg_.lambda <= 0.0) {
     throw std::invalid_argument("Coupler: lambda must be > 0");
   }
   // Spacing and alignment checks.
-  const double expected_dx = coarse_->dx() / cfg_.n;
-  if (std::abs(fine_->dx() - expected_dx) > 1e-9 * coarse_->dx()) {
+  const double expected_dx = coarse.dx() / cfg_.n;
+  if (std::abs(fine.dx() - expected_dx) > 1e-9 * coarse.dx()) {
     throw std::invalid_argument("Coupler: dx_fine != dx_coarse / n");
   }
-  const Vec3 rel = (fine_->origin() - coarse_->origin()) / coarse_->dx();
+  const Vec3 rel = (fine.origin() - coarse.origin()) / coarse.dx();
   for (int a = 0; a < 3; ++a) {
     if (std::abs(rel[a] - std::round(rel[a])) > 1e-6) {
       throw std::invalid_argument(
           "Coupler: fine origin not aligned with a coarse node");
     }
+    base_[a] = static_cast<int>(std::round(rel[a]));
   }
   tau_f_ = fine_tau(cfg_.tau_coarse, cfg_.n, cfg_.lambda);
-  fine_->set_uniform_tau(tau_f_);
-}
+  tau_inside_ = 0.5 + cfg_.lambda * (cfg_.tau_coarse - 0.5);
+  fine.set_uniform_tau(tau_f_);
 
-void CoarseFineCoupler::finalize(const CoarseRange& range) {
-  build_restriction(range);
-  adjust_coarse_tau(range);
+  build_coupling_layer();
+  build_footprint();
 
   pre_.rho.resize(support_nodes_.size());
   pre_.u.resize(support_nodes_.size());
   pre_.t.resize(support_nodes_.size());
   post_ = pre_;
   blend_ = pre_;
-}
-
-CoarseFineCoupler::CoarseRange CoarseFineCoupler::coarse_range_for(
-    const Aabb& box, int pad) const {
-  const Vec3 lo = coarse_->to_lattice(box.lo);
-  const Vec3 hi = coarse_->to_lattice(box.hi);
-  CoarseRange r;
-  r.x0 = std::max(static_cast<int>(std::floor(lo.x)) - pad, 0);
-  r.y0 = std::max(static_cast<int>(std::floor(lo.y)) - pad, 0);
-  r.z0 = std::max(static_cast<int>(std::floor(lo.z)) - pad, 0);
-  r.x1 = std::min(static_cast<int>(std::ceil(hi.x)) + pad + 1, coarse_->nx());
-  r.y1 = std::min(static_cast<int>(std::ceil(hi.y)) + pad + 1, coarse_->ny());
-  r.z1 = std::min(static_cast<int>(std::ceil(hi.z)) + pad + 1, coarse_->nz());
-  return r;
 }
 
 double CoarseFineCoupler::coarse_norm(double tau_local) const {
@@ -139,9 +61,12 @@ double CoarseFineCoupler::fine_norm() const {
 void CoarseFineCoupler::build_coupling_layer() {
   // The outermost fine-node layer that is currently Fluid becomes the
   // Coupling layer fed from the coarse grid.
+  const int n = cfg_.n;
   const int nx = fine_->nx();
   const int ny = fine_->ny();
   const int nz = fine_->nz();
+  const int cmax[3] = {coarse_->nx() - 2, coarse_->ny() - 2,
+                       coarse_->nz() - 2};
   std::unordered_map<std::size_t, std::uint32_t> support_index;
   auto register_support = [&](std::size_t coarse_idx) {
     auto it = support_index.find(coarse_idx);
@@ -152,127 +77,34 @@ void CoarseFineCoupler::build_coupling_layer() {
     return local;
   };
 
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
-        const bool boundary = x == 0 || x == nx - 1 || y == 0 ||
-                              y == ny - 1 || z == 0 || z == nz - 1;
-        if (!boundary) continue;
-        const std::size_t i = fine_->idx(x, y, z);
-        if (fine_->type(i) != lbm::NodeType::Fluid) continue;
-        fine_->set_type(i, lbm::NodeType::Coupling);
-
-        CouplingNode node;
-        node.fine_idx = i;
-        // Trilinear support on the coarse grid; non-fluid support nodes
-        // (window grazing a wall) get zero weight and the rest are
-        // renormalized, all decided here at build time.
-        const Vec3 lc = coarse_->to_lattice(fine_->position(x, y, z));
-        int cx = static_cast<int>(std::floor(lc.x));
-        int cy = static_cast<int>(std::floor(lc.y));
-        int cz = static_cast<int>(std::floor(lc.z));
-        cx = std::min(std::max(cx, 0), coarse_->nx() - 2);
-        cy = std::min(std::max(cy, 0), coarse_->ny() - 2);
-        cz = std::min(std::max(cz, 0), coarse_->nz() - 2);
-        const double fx = lc.x - cx;
-        const double fy = lc.y - cy;
-        const double fz = lc.z - cz;
-        int k = 0;
-        double wsum = 0.0;
-        for (int dz = 0; dz < 2; ++dz) {
-          for (int dy = 0; dy < 2; ++dy) {
-            for (int dx = 0; dx < 2; ++dx) {
-              const std::size_t ci = coarse_->idx(cx + dx, cy + dy, cz + dz);
-              double w = (dx ? fx : 1.0 - fx) * (dy ? fy : 1.0 - fy) *
-                         (dz ? fz : 1.0 - fz);
-              if (coarse_->type(ci) != lbm::NodeType::Fluid) w = 0.0;
-              node.weight[k] = w;
-              node.support[k] = w > 0.0 ? register_support(ci) : 0;
-              wsum += w;
-              ++k;
-            }
-          }
-        }
-        if (wsum > 0.0) {
-          for (auto& w : node.weight) w /= wsum;
-        }
-        coupling_.push_back(node);
-      }
-    }
-  }
-  if (coupling_.empty()) {
-    throw std::invalid_argument("Coupler: fine lattice has no fluid boundary");
-  }
-  if (support_nodes_.empty()) {
-    // Fully wall-enclosed interface; keep one dummy so snapshots are
-    // well-formed (weights are all zero, so it is never read).
-    support_nodes_.push_back(coupling_.front().fine_idx * 0);
-  }
-}
-
-void CoarseFineCoupler::build_coupling_layer(
-    const CouplerStencilCache& cache) {
-  // Same selection and support registration order as the reference build
-  // above, but the geometric part (cell base + trilinear weights) comes
-  // from the cache: for a snapped window the fractions depend only on the
-  // fine index modulo n, so only the integer base coarse node of the
-  // window changes between moves.
-  const Vec3 rel = (fine_->origin() - coarse_->origin()) / coarse_->dx();
-  const int bx = static_cast<int>(std::round(rel.x));
-  const int by = static_cast<int>(std::round(rel.y));
-  const int bz = static_cast<int>(std::round(rel.z));
-
-  std::unordered_map<std::size_t, std::uint32_t> support_index;
-  auto register_support = [&](std::size_t coarse_idx) {
-    auto it = support_index.find(coarse_idx);
-    if (it != support_index.end()) return it->second;
-    const auto local = static_cast<std::uint32_t>(support_nodes_.size());
-    support_nodes_.push_back(coarse_idx);
-    support_index.emplace(coarse_idx, local);
-    return local;
-  };
-
-  coupling_.reserve(cache.entries.size());
-  for (const auto& e : cache.entries) {
-    const std::size_t i = e.fine_idx;
-    if (fine_->type(i) != lbm::NodeType::Fluid) continue;
+  auto couple = [&](int x, int y, int z) {
+    const std::size_t i = fine_->idx(x, y, z);
+    if (fine_->type(i) != lbm::NodeType::Fluid) return;
     fine_->set_type(i, lbm::NodeType::Coupling);
 
+    // Trilinear support on the coarse grid: cell base + s / n at exact
+    // fraction (s % n) / n. Clamping the cell at the coarse edge shifts
+    // the fraction by the same whole number.
+    const int s[3] = {x, y, z};
+    int c[3];
+    double fr[3];
+    for (int a = 0; a < 3; ++a) {
+      const int c0 = base_[a] + s[a] / n;
+      c[a] = std::min(std::max(c0, 0), cmax[a]);
+      fr[a] = static_cast<double>(s[a] % n) / n + (c0 - c[a]);
+    }
+    // Non-fluid support nodes (window grazing a wall) get zero weight and
+    // the rest are renormalized, all decided here at build time.
     CouplingNode node;
     node.fine_idx = i;
-    const int cx0 = bx + e.cell[0];
-    const int cy0 = by + e.cell[1];
-    const int cz0 = bz + e.cell[2];
-    const int cx = std::min(std::max(cx0, 0), coarse_->nx() - 2);
-    const int cy = std::min(std::max(cy0, 0), coarse_->ny() - 2);
-    const int cz = std::min(std::max(cz0, 0), coarse_->nz() - 2);
-    // Clamping at the coarse edge shifts the cell base, which shifts the
-    // in-cell fractions by the same whole number; recompute the weights
-    // only in that (rare) case.
-    double fw[8];
-    if (cx == cx0 && cy == cy0 && cz == cz0) {
-      for (int k = 0; k < 8; ++k) fw[k] = e.weight[k];
-    } else {
-      const double fx = e.frac[0] + (cx0 - cx);
-      const double fy = e.frac[1] + (cy0 - cy);
-      const double fz = e.frac[2] + (cz0 - cz);
-      int k = 0;
-      for (int dz = 0; dz < 2; ++dz) {
-        for (int dy = 0; dy < 2; ++dy) {
-          for (int dx = 0; dx < 2; ++dx) {
-            fw[k++] = (dx ? fx : 1.0 - fx) * (dy ? fy : 1.0 - fy) *
-                      (dz ? fz : 1.0 - fz);
-          }
-        }
-      }
-    }
     int k = 0;
     double wsum = 0.0;
     for (int dz = 0; dz < 2; ++dz) {
       for (int dy = 0; dy < 2; ++dy) {
         for (int dx = 0; dx < 2; ++dx) {
-          const std::size_t ci = coarse_->idx(cx + dx, cy + dy, cz + dz);
-          double w = fw[k];
+          const std::size_t ci = coarse_->idx(c[0] + dx, c[1] + dy, c[2] + dz);
+          double w = (dx ? fr[0] : 1.0 - fr[0]) * (dy ? fr[1] : 1.0 - fr[1]) *
+                     (dz ? fr[2] : 1.0 - fr[2]);
           if (coarse_->type(ci) != lbm::NodeType::Fluid) w = 0.0;
           node.weight[k] = w;
           node.support[k] = w > 0.0 ? register_support(ci) : 0;
@@ -285,63 +117,71 @@ void CoarseFineCoupler::build_coupling_layer(
       for (auto& w : node.weight) w /= wsum;
     }
     coupling_.push_back(node);
+  };
+
+  // Boundary sites straight off the six faces, in z,y,x scan order (a
+  // site visited twice is already Coupling and skipped).
+  const auto inner = [](int m) {
+    return static_cast<std::size_t>(std::max(m - 2, 0));
+  };
+  coupling_.reserve(static_cast<std::size_t>(nx) * ny * nz -
+                    inner(nx) * inner(ny) * inner(nz));
+  for (int z = 0; z < nz; ++z) {
+    for (int y = 0; y < ny; ++y) {
+      if (z == 0 || z == nz - 1 || y == 0 || y == ny - 1) {
+        for (int x = 0; x < nx; ++x) couple(x, y, z);
+      } else {
+        couple(0, y, z);
+        couple(nx - 1, y, z);
+      }
+    }
   }
   if (coupling_.empty()) {
     throw std::invalid_argument("Coupler: fine lattice has no fluid boundary");
   }
   if (support_nodes_.empty()) {
-    support_nodes_.push_back(coupling_.front().fine_idx * 0);
+    // Fully wall-enclosed interface; keep one dummy so snapshots are
+    // well-formed (weights are all zero, so it is never read).
+    support_nodes_.push_back(0);
   }
 }
 
-void CoarseFineCoupler::build_restriction(const CoarseRange& range) {
-  // Coarse nodes strictly inside the fine region (with margin) whose
-  // position coincides with a fine node. Every candidate lies inside
-  // `range`; the contains() test below does the exact selection.
-  const double margin = cfg_.restrict_margin * coarse_->dx();
-  const Aabb inner = fine_->bounds().inflated(-margin);
-  for (int z = range.z0; z < range.z1; ++z) {
-    for (int y = range.y0; y < range.y1; ++y) {
-      for (int x = range.x0; x < range.x1; ++x) {
-        const std::size_t ci = coarse_->idx(x, y, z);
-        if (coarse_->type(ci) != lbm::NodeType::Fluid) continue;
-        const Vec3 p = coarse_->position(x, y, z);
-        if (!inner.contains(p)) continue;
-        const Vec3 lf = fine_->to_lattice(p);
-        const int fx = static_cast<int>(std::round(lf.x));
-        const int fy = static_cast<int>(std::round(lf.y));
-        const int fz = static_cast<int>(std::round(lf.z));
-        if (!fine_->in_domain(fx, fy, fz)) continue;
-        if (std::abs(lf.x - fx) > 1e-6 || std::abs(lf.y - fy) > 1e-6 ||
-            std::abs(lf.z - fz) > 1e-6) {
-          continue;  // not node-coincident (misaligned margins)
-        }
-        const std::size_t fi = fine_->idx(fx, fy, fz);
-        if (fine_->type(fi) != lbm::NodeType::Fluid) continue;
-        restriction_.push_back({ci, fi, 0.0});
-      }
-    }
+void CoarseFineCoupler::build_footprint() {
+  // Coarse node base + r lies in the footprint iff r * n is a fine index
+  // on every axis. Its fluid nodes represent the window fluid: same
+  // physical viscosity as the fine grid, coarse discretization. Those at
+  // least restrict_margin coarse spacings inside every window face whose
+  // coincident fine node is Fluid are restricted; nodes nearer the
+  // coupling layer keep their own solution.
+  const int n = cfg_.n;
+  const int margin = cfg_.restrict_margin * n;
+  const int nf[3] = {fine_->nx(), fine_->ny(), fine_->nz()};
+  const int nc[3] = {coarse_->nx(), coarse_->ny(), coarse_->nz()};
+  int lo[3];
+  int hi[3];
+  for (int a = 0; a < 3; ++a) {
+    lo[a] = std::max(base_[a], 0);
+    hi[a] = std::min(base_[a] + (nf[a] - 1) / n + 1, nc[a]);
   }
-}
-
-void CoarseFineCoupler::adjust_coarse_tau(const CoarseRange& range) {
-  // Coarse nodes inside the fine footprint represent the window fluid:
-  // same physical viscosity as the fine grid, coarse discretization.
-  const double tau_inside = 0.5 + cfg_.lambda * (cfg_.tau_coarse - 0.5);
-  const Aabb footprint = fine_->bounds();
-  for (int z = range.z0; z < range.z1; ++z) {
-    for (int y = range.y0; y < range.y1; ++y) {
-      for (int x = range.x0; x < range.x1; ++x) {
+  for (int z = lo[2]; z < hi[2]; ++z) {
+    for (int y = lo[1]; y < hi[1]; ++y) {
+      for (int x = lo[0]; x < hi[0]; ++x) {
         const std::size_t ci = coarse_->idx(x, y, z);
         if (coarse_->type(ci) != lbm::NodeType::Fluid) continue;
-        if (!footprint.contains(coarse_->position(x, y, z))) continue;
         saved_coarse_tau_.emplace_back(ci, coarse_->tau(ci));
-        coarse_->set_tau(ci, tau_inside);
+        coarse_->set_tau(ci, tau_inside_);
+        const int f[3] = {(x - base_[0]) * n, (y - base_[1]) * n,
+                          (z - base_[2]) * n};
+        bool inner = true;
+        for (int a = 0; a < 3; ++a) {
+          inner = inner && f[a] >= margin && f[a] <= nf[a] - 1 - margin;
+        }
+        if (!inner) continue;
+        const std::size_t fi = fine_->idx(f[0], f[1], f[2]);
+        if (fine_->type(fi) != lbm::NodeType::Fluid) continue;
+        restriction_.push_back({ci, fi});
       }
     }
-  }
-  for (auto& r : restriction_) {
-    r.tau_coarse_local = coarse_->tau(r.coarse_idx);
   }
 }
 
@@ -440,7 +280,7 @@ void CoarseFineCoupler::set_fine_boundary(int substep) {
 
 void CoarseFineCoupler::restrict_to_coarse() {
   OBS_SPAN("coupler", "restrict_to_coarse");
-  const double fnorm = fine_norm();
+  const double scale = fine_norm() / coarse_norm(tau_inside_);
   exec::parallel_for(restriction_.size(), [&](std::size_t k) {
     const RestrictionNode& r = restriction_[k];
     const auto ff = fine_->f_node(r.fine_idx);
@@ -450,7 +290,6 @@ void CoarseFineCoupler::restrict_to_coarse() {
     lbm::equilibria(rho, u, feq_f);
     std::array<double, kQ> f_c;
     lbm::equilibria(rho, u, f_c);
-    const double scale = fnorm / coarse_norm(r.tau_coarse_local);
     for (int q = 0; q < kQ; ++q) {
       f_c[q] += (ff[q] - feq_f[q]) * scale;
     }

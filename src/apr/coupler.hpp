@@ -52,49 +52,21 @@ struct CouplerConfig {
   int restrict_margin = 2;
 };
 
-/// Window-shape-dependent geometry of the coupling layer, precomputed
-/// once and reused across window moves. For snapped window positions
-/// (fine origin on a coarse node) the trilinear stencil of a fine
-/// boundary site depends only on the site's index modulo the resolution
-/// ratio -- never on where the window sits -- so the cache stores, for
-/// every boundary site of an (nx, ny, nz) fine lattice, the fine index,
-/// the coarse-cell base offset relative to the window's base coarse node,
-/// and the raw (pre wall-masking) trilinear weights in exact rational
-/// arithmetic. The cached coupler build then only has to mask wall
-/// supports and dedup support nodes, skipping the full fine-lattice sweep
-/// and all per-node coordinate transforms.
-struct CouplerStencilCache {
-  struct Entry {
-    std::uint32_t fine_idx;
-    int cell[3];        ///< coarse cell base, window-relative
-    double frac[3];     ///< exact in-cell fractions (site index mod n) / n
-    double weight[8];   ///< raw trilinear weights, k = (dz*2 + dy)*2 + dx
-  };
-  int n = 0;  ///< resolution ratio the cache was built for
-  int nx = 0, ny = 0, nz = 0;
-  std::vector<Entry> entries;  ///< boundary sites in z,y,x scan order
-
-  static CouplerStencilCache build(int nx, int ny, int nz, int n);
-};
-
 class CoarseFineCoupler {
  public:
   /// Both lattices must be node-aligned: the fine origin must coincide
   /// with a coarse node and dx_c = n * dx_f (checked, throws otherwise).
+  ///
+  /// The physical origin is read once, to round it to the window's base
+  /// coarse node; everything after that is integer arithmetic. Fine site
+  /// s lies in coarse cell base + s / n at exact fraction (s % n) / n, and
+  /// a coarse node lies in the footprint iff its window-relative index
+  /// times n is a fine index. So two windows at the same coarse node build
+  /// bit-identical couplers however their origins were rounded, and the
+  /// restriction / tau-footprint scans visit only the coarse nodes the
+  /// window covers.
   CoarseFineCoupler(lbm::Lattice& coarse, lbm::Lattice& fine,
                     const CouplerConfig& config);
-
-  /// Fast-path constructor for window moves: the coupling layer is built
-  /// from the precomputed boundary stencils in `cache` (which must match
-  /// the fine dimensions and cfg.n) and the restriction / tau-footprint
-  /// scans visit only the coarse sub-range covering the window instead of
-  /// the whole bulk lattice. Selects the same nodes as the reference
-  /// constructor; imposed boundary data agrees to <= 1e-14 (the cache
-  /// computes trilinear fractions in exact rational arithmetic where the
-  /// reference uses physical-coordinate transforms).
-  CoarseFineCoupler(lbm::Lattice& coarse, lbm::Lattice& fine,
-                    const CouplerConfig& config,
-                    const CouplerStencilCache& cache);
 
   /// Restore the coarse lattice's relaxation time in the footprint (call
   /// before destroying the coupler when moving the window).
@@ -106,7 +78,7 @@ class CoarseFineCoupler {
   std::size_t num_restriction_nodes() const { return restriction_.size(); }
 
   /// (coarse index, saved bulk tau) for every footprint node whose
-  /// relaxation time adjust_coarse_tau() re-tagged. Checkpointing uses
+  /// relaxation time the constructor re-tagged. Checkpointing uses
   /// this to serialize the coarse tau field at its bulk values: the
   /// footprint adjustment is coupler state, re-applied when the restored
   /// simulation attaches a fresh coupler, and saving it verbatim would
@@ -172,9 +144,10 @@ class CoarseFineCoupler {
   struct RestrictionNode {
     std::size_t coarse_idx;
     std::size_t fine_idx;
-    double tau_coarse_local;
   };
 
+  std::array<int, 3> base_{};  ///< coarse node under the fine origin
+  double tau_inside_ = 0.0;  ///< coarse footprint tau (window viscosity)
   std::vector<std::size_t> support_nodes_;  ///< unique coarse indices
   std::vector<CouplingNode> coupling_;
   Snapshot pre_;
@@ -185,23 +158,8 @@ class CoarseFineCoupler {
   std::uint64_t bytes_ = 0;
   bool released_ = false;
 
-  /// Half-open coarse index sub-range for the footprint-limited scans.
-  struct CoarseRange {
-    int x0, x1, y0, y1, z0, z1;
-  };
-  /// Coarse indices covering `box` padded by `pad` nodes (clamped).
-  CoarseRange coarse_range_for(const Aabb& box, int pad) const;
-
-  /// Shared constructor prelude: parameter/alignment validation and the
-  /// Eq. (7) fine relaxation time.
-  void init_common();
-  /// Shared constructor epilogue: restriction + tau footprint over
-  /// `range`, snapshot allocation.
-  void finalize(const CoarseRange& range);
   void build_coupling_layer();
-  void build_coupling_layer(const CouplerStencilCache& cache);
-  void build_restriction(const CoarseRange& range);
-  void adjust_coarse_tau(const CoarseRange& range);
+  void build_footprint();
   void take_snapshot(Snapshot& snap) const;
 };
 

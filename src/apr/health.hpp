@@ -136,9 +136,12 @@ struct RecoveryReport {
   int replayed_steps = 0;
   /// True when the replay cannot be bit-exact with the original span: a
   /// window move inside the span was re-run on the full-rebuild reference
-  /// path while the original used the incremental shift. The run
-  /// continues from a valid state either way; this flag reports the
-  /// divergence instead of dying.
+  /// path while the original used the incremental shift. The rebuild
+  /// re-seeds the whole window from the coarse field instead of carrying
+  /// the developed fine flow, so the trajectories part by up to ~0.05
+  /// dx_c (tests/test_window_relocation.cpp). The run continues from a
+  /// valid state either way; this flag reports the divergence instead of
+  /// dying.
   bool replay_divergent = false;
 };
 

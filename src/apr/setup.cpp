@@ -57,7 +57,6 @@ AprParams params_from_config(const Config& config) {
   p.seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
   p.incremental_window_move =
       config.get_bool("incremental_window_move", true);
-  p.segmented_kernels = config.get_bool("segmented_kernels", true);
 
   // Collision operator (see lbm/lattice.hpp). BGK is the paper's choice;
   // trt_magic is read even for bgk/mrt so a bad deck fails loudly.

@@ -37,8 +37,6 @@
 ///   # FSI
 ///   contact_cutoff_um (0.4), contact_strength (2e-12)
 ///   wall_cutoff_um (0.5), wall_strength (5e-12)
-///   # kernels (see DESIGN.md §13) -- bit-exact toggle, scalar oracle
-///   segmented_kernels (true)
 ///   # collision operator (see lbm/lattice.hpp): bgk | trt | mrt
 ///   collision_model (bgk), trt_magic (3/16, TRT only)
 ///   # bookkeeping

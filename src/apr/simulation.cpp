@@ -191,7 +191,6 @@ AprSimulation::AprSimulation(
   }
   coarse_ = std::make_unique<lbm::Lattice>(geometry::make_lattice_for(
       *domain_, params_.dx_coarse, params_.tau_coarse));
-  coarse_->set_segmented_kernel(params_.segmented_kernels);
   coarse_->set_collision_model(params_.collision, params_.trt_magic);
   geometry::voxelize(*coarse_, *domain_);
 
@@ -262,6 +261,9 @@ void AprSimulation::set_body_force_density(const Vec3& f_phys) {
 WindowRelocationStats AprSimulation::relocate_fine_lattice(
     const Vec3& window_center) {
   OBS_SPAN("window", "relocate_fine_lattice");
+  // The old coupler's footprint tau and Coupling nodes must be undone
+  // before the fine lattice is shifted or replaced.
+  if (coupler_) coupler_->release();
   const Aabb box = Aabb::cube(window_center, params_.window.outer_side());
   const double dxf = fine_units_.dx();
   // Node counts chosen so the fine boundary nodes lie exactly on the box
@@ -272,7 +274,7 @@ WindowRelocationStats AprSimulation::relocate_fine_lattice(
   const bool shifted = params_.incremental_window_move &&
                        try_shift_fine_lattice(box, nn, st);
   if (!shifted) build_fine_lattice(box, nn, st);
-  attach_coupler(shifted);
+  attach_coupler();
   // Re-apply the body force and reset the per-node force field: the shift
   // does not move forces (they are re-spread every sub-step), and a fresh
   // lattice needs the body force imposed.
@@ -289,7 +291,6 @@ void AprSimulation::build_fine_lattice(const Aabb& box, int nn,
     fine_.reset();
   }
   fine_ = std::make_unique<lbm::Lattice>(nn, nn, nn, box.lo, dxf, 1.0);
-  fine_->set_segmented_kernel(params_.segmented_kernels);
   fine_->set_collision_model(params_.collision, params_.trt_magic);
   geometry::voxelize(*fine_, *domain_);
 
@@ -457,31 +458,19 @@ void AprSimulation::refresh_coarse_macro_for(const Aabb& box) {
                                      static_cast<int>(std::ceil(hi.z)) + 2);
 }
 
-void AprSimulation::attach_coupler(bool cached) {
+void AprSimulation::attach_coupler() {
   CouplerConfig cc;
   cc.n = params_.n;
   cc.lambda = params_.lambda;
   cc.tau_coarse = params_.tau_coarse;
-  if (cached) {
-    if (stencil_cache_.n != params_.n || stencil_cache_.nx != fine_->nx() ||
-        stencil_cache_.ny != fine_->ny() ||
-        stencil_cache_.nz != fine_->nz()) {
-      stencil_cache_ = CouplerStencilCache::build(fine_->nx(), fine_->ny(),
-                                                  fine_->nz(), params_.n);
-    }
-    coupler_ = std::make_unique<CoarseFineCoupler>(*coarse_, *fine_, cc,
-                                                   stencil_cache_);
-  } else {
-    coupler_ = std::make_unique<CoarseFineCoupler>(*coarse_, *fine_, cc);
-  }
-  coupler_cached_ = cached;
+  coupler_.reset();  // never hold two couplers' buffers at once
+  coupler_ = std::make_unique<CoarseFineCoupler>(*coarse_, *fine_, cc);
 }
 
 void AprSimulation::place_window(const Vec3& center) {
   const Vec3 snapped = Window::snap_center(center, params_.window,
                                            coarse_->origin(), coarse_->dx());
   window_.emplace(snapped, params_.window, domain_.get());
-  if (coupler_) coupler_->release();
   relocate_fine_lattice(snapped);
 }
 
@@ -490,7 +479,6 @@ WindowRelocationStats AprSimulation::relocate_window(const Vec3& center) {
   const Vec3 snapped = Window::snap_center(center, params_.window,
                                            coarse_->origin(), coarse_->dx());
   window_.emplace(snapped, params_.window, domain_.get());
-  if (coupler_) coupler_->release();
   return relocate_fine_lattice(snapped);
 }
 
@@ -787,7 +775,6 @@ void AprSimulation::rebuild_window_at_ctc() {
   log_info("window move #", move_count_, ": captured ", rep.captured,
            ", filled ", rep.filled, ", discarded ", rep.discarded,
            ", inserted ", rep.repopulation.added);
-  coupler_->release();
   const WindowRelocationStats st = relocate_fine_lattice(window_->center());
   log_info("  relocation: ", st.incremental ? "incremental" : "full rebuild",
            ", preserved ", st.preserved_nodes, ", re-seeded ",
@@ -926,8 +913,11 @@ void AprSimulation::recover_from(const HealthReport& violation) {
   params_.incremental_window_move = was_incremental;
   recovering_ = false;
   // A window move replayed on the reference path while the original span
-  // used the incremental shift: the two agree only to ~1e-14, so the
-  // replayed state is valid but not bit-exact with the original.
+  // used the incremental shift: the full rebuild re-seeds the whole window
+  // from the coarse field instead of carrying the developed fine flow, so
+  // the replayed state is valid but not bit-exact with the original (the
+  // CTC trajectories of the two paths stay within 0.05 dx_c, see
+  // CtcTrajectoryInvariantToIncrementalFlag).
   rec.replay_divergent = was_incremental && move_count_ > moves_before;
 
   HealthReport after = check_health();

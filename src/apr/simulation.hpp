@@ -96,13 +96,6 @@ struct AprParams {
   /// init-from-coarse -- kept as the equivalence baseline, like the serial
   /// reference paths elsewhere.
   bool incremental_window_move = true;
-  /// Use the cached-sweep-plan row-segment LBM kernels (the default) on
-  /// both lattices. When false the per-node scalar sweep runs instead --
-  /// kept as the in-process oracle. The segmented kernels are bit-exact
-  /// against the scalar path (tests/test_sweep_plan.cpp), so this toggle
-  /// never shapes the trajectory and is excluded from the checkpoint
-  /// params digest.
-  bool segmented_kernels = true;
   /// Collision operator for both lattices (paper §2.1 uses BGK; TRT and
   /// MRT are the stability/accuracy extensions, see lbm/lattice.hpp).
   /// Shapes the trajectory, so it IS digested -- but only when it
@@ -328,9 +321,6 @@ class AprSimulation {
   std::unique_ptr<lbm::Lattice> coarse_;
   std::unique_ptr<lbm::Lattice> fine_;
   std::unique_ptr<CoarseFineCoupler> coupler_;
-  /// Boundary-stencil geometry shared by every coupler built at this
-  /// window shape (empty until the first incremental move).
-  CouplerStencilCache stencil_cache_;
   std::optional<Window> window_;
   std::unique_ptr<WindowMover> mover_;
   std::unique_ptr<cells::CellPool> rbcs_;
@@ -338,11 +328,6 @@ class AprSimulation {
   std::unique_ptr<cells::RbcTile> tile_;
   Rng rng_;
   Vec3 body_force_phys_{};
-  /// Which coupler constructor is currently attached (stencil-cached vs
-  /// reference full-sweep). The two agree only to ~1e-14, so a restored
-  /// run must replay the same one to stay bit-exact; recorded in the
-  /// checkpoint META section.
-  bool coupler_cached_ = false;
   std::uint64_t next_cell_id_ = 1;
   int coarse_steps_ = 0;
   int move_count_ = 0;
@@ -391,9 +376,9 @@ class AprSimulation {
   std::size_t init_fine_from_coarse(int x0, int x1, int y0, int y1, int z0,
                                     int z1, bool reset);
   /// Refresh the coarse macroscopic cache only where the window box reads
-  /// it, then attach a new coupler (stencil-cached when `cached`).
+  /// it.
   void refresh_coarse_macro_for(const Aabb& box);
-  void attach_coupler(bool cached);
+  void attach_coupler();
   void rebuild_window_at_ctc();
   std::vector<cells::CellPool*> active_pools();
   /// Sampled scan at the end of step(): run check_health() under the

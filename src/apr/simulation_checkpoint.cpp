@@ -4,8 +4,8 @@
 ///
 /// Sections:
 ///   META  counters, Rng stream, body force, window center, trajectory,
-///         which coupler constructor is attached, and a digest of the
-///         AprParams the checkpoint was taken under.
+///         relocation bookkeeping, and a digest of the AprParams the
+///         checkpoint was taken under.
 ///   CLAT  coarse LatticeState. The relaxation times inside the window
 ///         footprint are patched back to their bulk values before
 ///         serialization: the footprint adjustment is coupler state,
@@ -14,8 +14,11 @@
 ///         release() list and corrupt the bulk tau at the next window move.
 ///   FLAT  fine LatticeState (window runs only). Coupling node types are
 ///         normalized to Fluid: the coupling layer is rebuilt by
-///         attach_coupler(), whose reference constructor selects only
-///         Fluid boundary nodes.
+///         attach_coupler(), whose coupler selects only Fluid boundary
+///         nodes. The coupler is a pure function of the window's base
+///         coarse node and the node types, so the rebuilt one is the
+///         one the saved run was using, whichever relocation path built
+///         it.
 ///   RBCS / CTCS  CellPoolState in slot order, so pool layout (and with it
 ///         every slot-indexed iteration) round-trips exactly.
 ///
@@ -90,7 +93,6 @@ struct Meta {
   std::uint64_t fine_updates_retired = 0;
   Vec3 body_force_phys{};
   std::array<std::uint64_t, 5> rng{};
-  std::uint8_t coupler_cached = 0;
   std::uint8_t has_window = 0;
   Vec3 window_center{};
   std::uint8_t reloc_incremental = 0;
@@ -107,7 +109,6 @@ struct Meta {
     w.pod(fine_updates_retired);
     w.pod(body_force_phys);
     for (const std::uint64_t s : rng) w.pod(s);
-    w.pod(coupler_cached);
     w.pod(has_window);
     w.pod(window_center);
     w.pod(reloc_incremental);
@@ -127,7 +128,6 @@ struct Meta {
     r.pod(m.fine_updates_retired);
     r.pod(m.body_force_phys);
     for (std::uint64_t& s : m.rng) r.pod(s);
-    r.pod(m.coupler_cached);
     r.pod(m.has_window);
     r.pod(m.window_center);
     r.pod(m.reloc_incremental);
@@ -152,7 +152,6 @@ io::Checkpoint AprSimulation::make_checkpoint() const {
   meta.fine_updates_retired = fine_updates_retired_;
   meta.body_force_phys = body_force_phys_;
   meta.rng = rng_.state();
-  meta.coupler_cached = coupler_cached_ ? 1 : 0;
   meta.has_window = (window_ && fine_) ? 1 : 0;
   if (window_) meta.window_center = window_->center();
   meta.reloc_incremental = last_relocation_.incremental ? 1 : 0;
@@ -294,11 +293,10 @@ void AprSimulation::load_checkpoint(const io::Checkpoint& ckpt) {
   if (meta.has_window) {
     window_.emplace(meta.window_center, params_.window, domain_.get());
     // Rebuilds the coupling layer / footprint tau from the bulk values in
-    // CLAT, replaying whichever constructor the saved run was using.
-    attach_coupler(meta.coupler_cached != 0);
+    // CLAT.
+    attach_coupler();
   } else {
     window_.reset();
-    coupler_cached_ = false;
   }
   // Any rolling rollback point belongs to the pre-restore timeline; the
   // health watchdog re-establishes one at its next clean scan. (The

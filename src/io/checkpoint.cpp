@@ -209,11 +209,6 @@ std::uint64_t Checkpoint::digest() const {
 
 namespace {
 
-/// Sentinel distinguishing the tiled (revision 2) lattice encoding from
-/// the legacy flat one, whose first field was the strictly positive nx.
-constexpr std::int32_t kTiledSentinel = -2;
-constexpr std::uint32_t kLatticeRevision = 2;
-
 inline bool vec_zero(const Vec3& v) {
   return v.x == 0.0 && v.y == 0.0 && v.z == 0.0;
 }
@@ -228,7 +223,6 @@ LatticeState LatticeState::capture(const lbm::Lattice& lat) {
   st.origin = lat.origin();
   st.dx = lat.dx();
   st.default_tau = lat.default_tau();
-  st.fused = lat.fused_kernel() ? 1 : 0;
   st.collision = static_cast<std::uint8_t>(lat.collision_model());
   st.trt_magic = lat.trt_magic();
   for (int a = 0; a < 3; ++a) st.periodic[a] = lat.periodic(a) ? 1 : 0;
@@ -317,7 +311,6 @@ void LatticeState::apply(lbm::Lattice& lat) const {
     lat.set_type(i, static_cast<lbm::NodeType>(type[i]));
   }
   lat.set_periodic(periodic[0] != 0, periodic[1] != 0, periodic[2] != 0);
-  lat.set_fused_kernel(fused != 0);
   lat.set_collision_model(static_cast<lbm::CollisionModel>(collision),
                           trt_magic);
   lat.set_body_force(body_force);
@@ -352,14 +345,11 @@ std::vector<char> LatticeState::serialize() const {
   const int tbz = (nz + S - 1) / S;
 
   BufWriter w;
-  w.pod(kTiledSentinel);
-  w.pod(kLatticeRevision);
   w.pod(nx);
   w.pod(ny);
   w.pod(nz);
   w.pod(origin);
   w.pod(dx);
-  w.pod(fused);
   w.pod(collision);
   w.pod(trt_magic);
   w.bytes(periodic, sizeof(periodic));
@@ -422,52 +412,15 @@ std::vector<char> LatticeState::serialize() const {
   return w.take();
 }
 
-std::vector<char> LatticeState::serialize_legacy_dense() const {
-  BufWriter w;
-  w.pod(nx);
-  w.pod(ny);
-  w.pod(nz);
-  w.pod(origin);
-  w.pod(dx);
-  w.pod(fused);
-  w.pod(collision);
-  w.pod(trt_magic);
-  w.bytes(periodic, sizeof(periodic));
-  w.pod(ubc_nonzero);
-  w.pod(body_force);
-  w.pod(site_updates);
-  w.vec(type);
-  w.vec(tau);
-  w.vec(ubc);
-  w.vec(f);
-  w.vec(rho);
-  w.vec(u);
-  return w.take();
-}
-
 LatticeState LatticeState::deserialize(const std::vector<char>& payload,
                                        std::string what) {
   BufReader r(payload, std::move(what));
   LatticeState st;
-  // Revision dispatch: legacy flat payloads began with nx (> 0); tiled
-  // ones with a negative sentinel followed by an explicit revision.
-  const auto first = r.pod<std::int32_t>();
-  const bool tiled = first == kTiledSentinel;
-  if (tiled) {
-    const auto rev = r.pod<std::uint32_t>();
-    if (rev != kLatticeRevision) {
-      throw CheckpointError("checkpoint: unsupported lattice section "
-                            "revision " + std::to_string(rev));
-    }
-    r.pod(st.nx);
-  } else {
-    st.nx = first;
-  }
+  r.pod(st.nx);
   r.pod(st.ny);
   r.pod(st.nz);
   r.pod(st.origin);
   r.pod(st.dx);
-  r.pod(st.fused);
   r.pod(st.collision);
   r.pod(st.trt_magic);
   for (auto& p : st.periodic) r.pod(p);
@@ -479,28 +432,6 @@ LatticeState LatticeState::deserialize(const std::vector<char>& payload,
     throw CheckpointError("checkpoint: implausible lattice dimensions");
   }
   const std::uint64_t n = static_cast<std::uint64_t>(st.nx) * st.ny * st.nz;
-
-  if (!tiled) {
-    r.vec(st.type, n);
-    r.vec(st.tau, n);
-    r.vec(st.ubc, n);
-    r.vec(st.f, static_cast<std::uint64_t>(lbm::kQ) * n);
-    r.vec(st.rho, n);
-    r.vec(st.u, n);
-    r.expect_end();
-    // Legacy files predate the explicit baseline; exterior nodes always
-    // held the construction-time default, so recover it from the first
-    // one (falling back to node 0 for domains with no exterior at all --
-    // only tile-release economics depend on this, not restored values).
-    st.default_tau = st.tau.empty() ? 1.0 : st.tau[0];
-    for (std::size_t i = 0; i < st.type.size(); ++i) {
-      if (st.type[i] == 0) {
-        st.default_tau = st.tau[i];
-        break;
-      }
-    }
-    return st;
-  }
 
   r.pod(st.default_tau);
   st.type.assign(n, 0);

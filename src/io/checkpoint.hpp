@@ -21,7 +21,7 @@
 /// `LatticeState` and `CellPoolState` are the full-fidelity snapshots of
 /// the two stateful objects: distributions, node metadata, the macroscopic
 /// caches that the IBM reads at nodes `update_macroscopic()` never rewrites,
-/// kernel/collision configuration and counters for the lattice; ids, vertex
+/// collision configuration and counters for the lattice; ids, vertex
 /// positions and velocities plus a reference-state digest of the membrane
 /// model for cell pools. `save -> load` round-trips bit-exactly.
 
@@ -177,7 +177,9 @@ class Checkpoint {
   /// "APRCHKP1" (little-endian) -- rejects pre-container v1 files (which
   /// began with a 32-bit magic) as foreign.
   static constexpr std::uint64_t kMagic = 0x31504B4843525041ull;
-  static constexpr std::uint32_t kFormatVersion = 2;
+  /// The one version check: bumped on any section layout change, and the
+  /// reader accepts no other version (no per-section revisions).
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   void add(std::uint32_t tag, std::vector<char> payload);
   bool has(std::uint32_t tag) const;
@@ -218,14 +220,13 @@ class Checkpoint {
 /// distributions and per-node metadata this carries the macroscopic
 /// rho/u caches (IBM interpolation reads the velocity cache at Wall and
 /// Exterior nodes, which update_macroscopic() never rewrites -- they are
-/// genuine state), the kernel/collision configuration, the body force and
+/// genuine state), the collision configuration, the body force and
 /// the site-update counter, so `capture -> apply` reproduces the lattice
 /// bit-exactly.
 struct LatticeState {
   int nx = 0, ny = 0, nz = 0;
   Vec3 origin{};
   double dx = 0.0;
-  std::uint8_t fused = 1;
   std::uint8_t collision = 0;  ///< lbm::CollisionModel
   double trt_magic = 3.0 / 16.0;
   std::uint8_t periodic[3] = {0, 0, 0};
@@ -253,15 +254,11 @@ struct LatticeState {
   /// exactly as sparse as the saved lattice was.
   void apply(lbm::Lattice& lat) const;
 
-  /// Tiled (revision 2) wire format: header + per-block clipped payloads
-  /// for exactly the 16^3 blocks holding any non-default content. Because
-  /// block selection is content-based, a lattice in dense reference mode
-  /// and its tiled twin serialize byte-identically.
+  /// Tiled wire format: header + per-block clipped payloads for exactly
+  /// the 16^3 blocks holding any non-default content. Because block
+  /// selection is content-based, a lattice in dense reference mode and its
+  /// tiled twin serialize byte-identically.
   std::vector<char> serialize() const;
-  /// The revision-1 flat dense encoding (whole-box arrays). Kept as a
-  /// writer so tests can prove old files keep loading; deserialize()
-  /// accepts both revisions.
-  std::vector<char> serialize_legacy_dense() const;
   static LatticeState deserialize(const std::vector<char>& payload,
                                   std::string what);
 };

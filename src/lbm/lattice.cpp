@@ -804,30 +804,19 @@ void Lattice::step() {
 }
 
 void Lattice::step_no_macro() {
-  if (fused_) {
-    fused_collide_stream(*this);
+  ensure_tiles();
+  ensure_fast_flags();
+  if (segmented_) {
+    ensure_plan();
+    site_updates_ += fused_sweep_segmented();
   } else {
-    collide(*this);
-    stream(*this);
+    site_updates_ += fused_sweep_scalar();
   }
+  swap_buffers();
   apply_dirichlet(*this);
 }
 
 // --- kernels ---------------------------------------------------------------
-
-void fused_collide_stream(Lattice& lat) {
-  lat.ensure_tiles();
-  lat.ensure_fast_flags();
-  std::uint64_t updates;
-  if (lat.segmented_) {
-    lat.ensure_plan();
-    updates = lat.fused_sweep_segmented();
-  } else {
-    updates = lat.fused_sweep_scalar();
-  }
-  lat.site_updates_ += updates;
-  lat.swap_buffers();
-}
 
 // Both fused sweeps are parallel over resident tiles. The scatter is
 // race-free: for a direction q, slot (q, j) has exactly one push source
@@ -1445,31 +1434,6 @@ void Lattice::collide_node(std::size_t a, std::array<double, kQ>& f) const {
   f = post;
 }
 
-void collide(Lattice& lat) {
-  constexpr std::size_t TN = Lattice::kTileNodes;
-  const std::uint64_t updates = exec::parallel_reduce<std::uint64_t>(
-      lat.resident_.size(), 0,
-      [&](std::size_t tb, std::size_t te) {
-        std::uint64_t local = 0;
-        for (std::size_t t = tb; t < te; ++t) {
-          const std::size_t base =
-              static_cast<std::size_t>(lat.tile_slot(t)) * TN;
-          for (std::size_t c = 0; c < TN; ++c) {
-            const std::size_t a = base + c;
-            if (lat.type_[a] != NodeType::Fluid) continue;
-            std::array<double, kQ> f;
-            for (int q = 0; q < kQ; ++q) f[q] = lat.f_[lat.faddr(a, q)];
-            lat.collide_node(a, f);
-            for (int q = 0; q < kQ; ++q) lat.f_[lat.faddr(a, q)] = f[q];
-            ++local;
-          }
-        }
-        return local;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  lat.site_updates_ += updates;
-}
-
 void Lattice::set_collision_model(CollisionModel model, double magic) {
   if (magic <= 0.0) {
     throw std::invalid_argument("set_collision_model: magic must be > 0");
@@ -1532,9 +1496,9 @@ void Lattice::ensure_fast_flags() {
           if (type_[a] != NodeType::Fluid) continue;
           // Fast nodes require an all-Fluid neighbourhood (the D3Q19
           // stencil is symmetric, so sources and targets are the same
-          // set): the pull kernel can then skip every bounds/type check,
-          // and the push kernel's direct 18-way scatter stays race-free
-          // under the parallel tile decomposition (it never writes into a
+          // set): the push kernel can then skip every bounds/type check,
+          // and its direct 18-way scatter stays race-free under the
+          // parallel tile decomposition (it never writes into a
           // Velocity/Coupling node's self-copied slots).
           bool ok = true;
           for (int q = 1; q < kQ && ok; ++q) {
@@ -1573,113 +1537,6 @@ void Lattice::ensure_plan() {
             ",\"segment_nodes\":" + std::to_string(plan_.segment_nodes()) +
             ",\"scalar_nodes\":" + std::to_string(plan_.scalar_nodes()));
   }
-}
-
-void stream(Lattice& lat) {
-  const int nx = lat.nx_;
-  const int ny = lat.ny_;
-  const int nz = lat.nz_;
-  constexpr int S = Lattice::kTileSide;
-  constexpr std::size_t TN = Lattice::kTileNodes;
-  lat.ensure_tiles();
-  lat.ensure_fast_flags();
-
-  // Intra-tile pull offsets for tile-interior fast nodes.
-  std::ptrdiff_t coff[kQ];
-  for (int q = 0; q < kQ; ++q) {
-    coff[q] = (static_cast<std::ptrdiff_t>(kC[q][2]) * S + kC[q][1]) * S +
-              kC[q][0];
-  }
-
-  // Pull streaming writes only the receiving node's slots, so tiles are
-  // fully independent; parallelize over resident tiles.
-  exec::parallel_for(lat.resident_.size(), [&](std::size_t t) {
-    const std::size_t b = static_cast<std::size_t>(lat.resident_[t]);
-    const std::int32_t s = lat.dir_[b];
-    int bx, by, bz;
-    lat.block_coords(b, bx, by, bz);
-    const int X0 = bx << Lattice::kTileShift;
-    const int Y0 = by << Lattice::kTileShift;
-    const int Z0 = bz << Lattice::kTileShift;
-    const int vx = std::min(S, nx - X0);
-    const int vy = std::min(S, ny - Y0);
-    const int vz = std::min(S, nz - Z0);
-    const std::int32_t* nrow =
-        lat.nbr_.data() + static_cast<std::size_t>(s) * 27;
-    const std::size_t base = static_cast<std::size_t>(s) * TN;
-    const double* f = lat.f_.data();
-    double* ft = lat.ftmp_.data();
-    for (int lz = 0; lz < vz; ++lz) {
-      const int z = Z0 + lz;
-      for (int ly = 0; ly < vy; ++ly) {
-        const int y = Y0 + ly;
-        for (int lx = 0; lx < vx; ++lx) {
-          const std::size_t a = base + Lattice::cell_of(lx, ly, lz);
-          if (lat.fast_[a]) {
-            if (lx >= 1 && lx < S - 1 && ly >= 1 && ly < S - 1 && lz >= 1 &&
-                lz < S - 1) {
-              for (int q = 0; q < kQ; ++q) {
-                ft[lat.faddr(a, q)] = f[lat.faddr(a - coff[q], q)];
-              }
-            } else {
-              for (int q = 0; q < kQ; ++q) {
-                const std::size_t sa = Lattice::nbr_addr(
-                    nrow, lx - kC[q][0], ly - kC[q][1], lz - kC[q][2]);
-                ft[lat.faddr(a, q)] = f[lat.faddr(sa, q)];
-              }
-            }
-            continue;
-          }
-          const NodeType tt = lat.type_[a];
-          if (tt != NodeType::Fluid) {
-            // Non-fluid nodes keep their distributions (Velocity/Coupling
-            // are re-imposed later; Wall/Exterior are never read as
-            // targets).
-            if (tt != NodeType::Exterior) {
-              for (int q = 0; q < kQ; ++q) {
-                ft[lat.faddr(a, q)] = f[lat.faddr(a, q)];
-              }
-            }
-            continue;
-          }
-          const int x = X0 + lx;
-          for (int q = 0; q < kQ; ++q) {
-            int sx = x - kC[q][0];
-            int sy = y - kC[q][1];
-            int sz = z - kC[q][2];
-            if (lat.periodic_[0]) sx = (sx + nx) % nx;
-            if (lat.periodic_[1]) sy = (sy + ny) % ny;
-            if (lat.periodic_[2]) sz = (sz + nz) % nz;
-
-            bool bounce = false;
-            Vec3 uw{};
-            if (!lat.in_domain(sx, sy, sz)) {
-              bounce = true;  // domain edge treated as resting wall
-            } else {
-              const std::size_t sa = lat.addr(sx, sy, sz);
-              const NodeType st = lat.type_[sa];
-              if (is_stream_source(st)) {
-                ft[lat.faddr(a, q)] = f[lat.faddr(sa, q)];
-                continue;
-              }
-              bounce = true;
-              if (st == NodeType::Wall) uw = lat.ubc_[sa];
-            }
-            if (bounce) {
-              // Halfway bounce-back with moving-wall momentum transfer:
-              //   f_q(x, t+1) = f*_opp(q)(x, t) + 6 w_q rho (c_q . u_w)
-              // (rho ~ 1 at low Mach).
-              const double cu =
-                  kC[q][0] * uw.x + kC[q][1] * uw.y + kC[q][2] * uw.z;
-              ft[lat.faddr(a, q)] =
-                  f[lat.faddr(a, kOpp[q])] + 6.0 * kW[q] * cu;
-            }
-          }
-        }
-      }
-    }
-  });
-  lat.swap_buffers();
 }
 
 void apply_dirichlet(Lattice& lat) {

@@ -272,12 +272,6 @@ class Lattice {
   /// they need them.
   void step_no_macro();
 
-  /// Select the fused single-pass collide+stream kernel (default) or the
-  /// classic two-pass kernels; both produce identical distributions (see
-  /// tests/test_lattice.cpp) -- the toggle exists for verification.
-  void set_fused_kernel(bool fused) { fused_ = fused; }
-  bool fused_kernel() const { return fused_; }
-
   /// Select the segmented row kernels (default): the fused sweep and the
   /// macroscopic refresh run q-outer/lane-inner over the cached
   /// SweepPlan's contiguous fast-Fluid segments. Bit-exact against the
@@ -419,11 +413,10 @@ class Lattice {
   std::uint64_t site_updates_ = 0;
 
   // Streaming fast path: interior fluid nodes whose full neighbourhood is
-  // a valid stream source pull with precomputed offsets, skipping all
-  // bounds/type checks. Recomputed lazily whenever node types change.
+  // Fluid scatter with precomputed offsets, skipping all bounds/type
+  // checks. Recomputed lazily whenever node types change.
   std::vector<std::uint8_t> fast_;
   bool fast_dirty_ = true;
-  bool fused_ = true;
   CollisionModel collision_ = CollisionModel::Bgk;
   double magic_ = 3.0 / 16.0;
 
@@ -531,13 +524,15 @@ class Lattice {
                    lz & (kTileSide - 1));
   }
 
-  /// Post-collision populations of the node at storage address a (shared
-  /// by both kernels).
+  /// Post-collision populations of the node at storage address a (the
+  /// per-node path of both sweeps).
   void collide_node(std::size_t a, std::array<double, kQ>& f) const;
 
-  // Fused push-kernel bodies (lattice.cpp): the per-node scalar sweep
-  // (the oracle) and the plan-driven segmented sweep. Both return the
-  // number of Fluid collisions performed.
+  // Fused collide+stream push-kernel bodies (lattice.cpp): the per-node
+  // scalar sweep (the oracle) and the plan-driven segmented sweep. Each
+  // collides a node locally and scatters its post-collision populations
+  // to their targets, with halfway bounce-back handled at the source.
+  // Both return the number of Fluid collisions performed.
   std::uint64_t fused_sweep_scalar();
   std::uint64_t fused_sweep_segmented();
   /// One non-segment node of the fused push sweep: Velocity/Coupling
@@ -562,25 +557,8 @@ class Lattice {
                          std::size_t frow, int lx0, int lx1, bool forced);
 
   friend class SweepPlan;
-  friend void fused_collide_stream(Lattice&);
-
-  friend void collide(Lattice&);
-  friend void stream(Lattice&);
   friend void apply_dirichlet(Lattice&);
 };
-
-/// BGK collision with Guo forcing on all Fluid nodes (in place).
-void collide(Lattice& lat);
-
-/// Pull streaming with halfway bounce-back at Wall nodes (moving-wall
-/// momentum correction using the wall node's prescribed velocity).
-void stream(Lattice& lat);
-
-/// Fused single-pass push kernel: per node, collide locally and scatter
-/// the post-collision populations to their targets (with the same
-/// halfway bounce-back semantics as collide+stream). Roughly halves the
-/// memory traffic of the two-pass scheme.
-void fused_collide_stream(Lattice& lat);
 
 /// Reset Velocity nodes to equilibrium at their prescribed velocity.
 void apply_dirichlet(Lattice& lat);

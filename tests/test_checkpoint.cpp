@@ -187,9 +187,9 @@ TEST_F(CheckpointTest, ResumeAtStep25IsBitExactWithStraightRunTo50) {
 }
 
 TEST_F(CheckpointTest, ResumeAfterIncrementalWindowMoveIsBitExact) {
-  // A relocation before the checkpoint switches the simulation onto the
-  // stencil-cached coupler; the restored run must replay that same
-  // constructor (recorded in META) to stay bit-exact.
+  // A relocation before the checkpoint builds the coupler through the
+  // incremental move; load rebuilds it from the restored window alone, and
+  // the restored run must still stay bit-exact.
   const std::string path = temp_path("resume_moved.chk");
   auto ref = fresh_sim();
   setup_two_rbc_case(*ref);
@@ -375,13 +375,18 @@ TEST_F(CheckpointCorruptionTest, WrongMagicFailsClosed) {
 }
 
 TEST_F(CheckpointCorruptionTest, FutureVersionFailsClosed) {
-  // Format version is the u32 straight after the u64 magic.
-  bytes_[8] = 99;
-  bytes_[9] = 0;
-  bytes_[10] = 0;
-  bytes_[11] = 0;
-  spew_binary(path_, bytes_);
-  expect_fails_closed("version");
+  // Format version is the u32 straight after the u64 magic. A future
+  // version and the previous layout (version 2) are both rejected: there
+  // is no migration path.
+  for (const std::uint8_t version : {99, 2}) {
+    bytes_[8] = static_cast<char>(version);
+    bytes_[9] = 0;
+    bytes_[10] = 0;
+    bytes_[11] = 0;
+    spew_binary(path_, bytes_);
+    digest_before_ = target_->state_digest();
+    expect_fails_closed("version");
+  }
 }
 
 TEST_F(CheckpointCorruptionTest, MissingFileFailsClosed) {

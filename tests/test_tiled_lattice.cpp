@@ -125,9 +125,7 @@ TEST(TiledLattice, StepMatchesDenseReferenceBitwise) {
   }
   expect_nodes_bitwise_equal(tiled, dense);
 
-  // Same again with the two-pass kernels and TRT collision.
-  tiled.set_fused_kernel(false);
-  dense.set_fused_kernel(false);
+  // Same again with TRT collision.
   tiled.set_collision_model(CollisionModel::Trt);
   dense.set_collision_model(CollisionModel::Trt);
   for (int s = 0; s < 10; ++s) {
@@ -286,33 +284,6 @@ TEST(TiledLattice, SerializationIsIdenticalForTiledAndDenseModes) {
   const auto bytes_d = io::LatticeState::capture(dense).serialize();
   ASSERT_EQ(bytes_t.size(), bytes_d.size());
   EXPECT_EQ(std::memcmp(bytes_t.data(), bytes_d.data(), bytes_t.size()), 0);
-}
-
-TEST(TiledLattice, LegacyDenseCheckpointLoadsBitExact) {
-  Lattice lat(3 * kT, 3 * kT, 3 * kT, Vec3{}, 1.0, 0.7);
-  make_duct(lat, 6);
-  lat.shrink_to_fit();
-  lat.set_body_force(Vec3{2e-5, 0.0, 0.0});
-  for (int s = 0; s < 5; ++s) lat.step();
-  const io::LatticeState st = io::LatticeState::capture(lat);
-
-  // Round-trip through the revision-1 flat dense encoding, as written by
-  // every pre-tiling checkpoint file.
-  const auto legacy = st.serialize_legacy_dense();
-  const io::LatticeState back =
-      io::LatticeState::deserialize(legacy, "legacy");
-  Lattice restored(lat.nx(), lat.ny(), lat.nz(), lat.origin(), lat.dx(),
-                   1.0);
-  back.apply(restored);
-  expect_nodes_bitwise_equal(lat, restored);
-  // The restored lattice is as sparse as the original, not densified by
-  // the dense wire format.
-  EXPECT_EQ(restored.num_tiles(), lat.num_tiles());
-  // And re-captures to the exact same tiled-format bytes.
-  const auto again = io::LatticeState::capture(restored).serialize();
-  const auto direct = st.serialize();
-  ASSERT_EQ(again.size(), direct.size());
-  EXPECT_EQ(std::memcmp(again.data(), direct.data(), again.size()), 0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "src/common/log.hpp"
 #include "src/exec/exec.hpp"
+#include "src/io/checkpoint.hpp"
 #include "tools/golden_scenario.hpp"
 
 namespace {
@@ -30,7 +31,8 @@ void write_manifest(const std::string& path,
     std::exit(1);
   }
   std::fprintf(out, "# Golden-state manifest; regenerate with make_golden.\n");
-  std::fprintf(out, "format_version = 2\n");
+  std::fprintf(out, "format_version = %u\n",
+               static_cast<unsigned>(apr::io::Checkpoint::kFormatVersion));
   std::fprintf(out, "digest = %016" PRIX64 "\n", digest);
   std::fprintf(out, "coarse_steps = %d\n", coarse_steps);
   std::fprintf(out, "evolve_steps = %d\n", apr::tools::kGoldenEvolveSteps);
