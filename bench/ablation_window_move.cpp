@@ -1,13 +1,12 @@
 /// \file ablation_window_move.cpp
 /// Ablation for the incremental window relocation (paper §2.4.1 moving
 /// window): full rebuild -- fresh fine lattice, whole-window voxelization
-/// and init-from-coarse -- vs the shift-and-reuse path, which recycles the
-/// spare allocation, carries the surviving distributions over and
-/// re-seeds only the exposed slab. Both paths attach the same coupler.
-/// The window bounces between
-/// two snapped positions, so every benchmark iteration is exactly one
-/// relocation; reported counters give the per-move preserved /
-/// re-initialized node split.
+/// and init-from-coarse, what place_window() does -- vs the shift-and-reuse
+/// path of relocate_window(), which carries the surviving distributions
+/// over and re-seeds only the exposed slab. Both paths attach the same
+/// coupler. The window bounces between two snapped positions, so every
+/// benchmark iteration is exactly one relocation; reported counters give
+/// the per-move preserved / re-initialized node split.
 
 #include <benchmark/benchmark.h>
 
@@ -46,7 +45,7 @@ std::shared_ptr<fem::MembraneModel> make_ctc() {
   return std::make_shared<fem::MembraneModel>(mesh::ctc_sphere(1, 1.6e-6), p);
 }
 
-std::unique_ptr<core::AprSimulation> make_sim(bool incremental) {
+std::unique_ptr<core::AprSimulation> make_sim() {
   core::AprParams p;
   p.dx_coarse = kDxCoarse;
   p.n = 4;  // dx_fine = 0.5 um -> a 57^3 fine window
@@ -57,7 +56,6 @@ std::unique_ptr<core::AprSimulation> make_sim(bool incremental) {
   p.window.onramp_width = 6e-6;
   p.window.insertion_width = 4e-6;  // outer = 28 um = 7 insertion tiles
   p.window.target_hematocrit = 0.02;  // tiny tile: relocation-only bench
-  p.incremental_window_move = incremental;
   auto domain = std::make_shared<geometry::TubeDomain>(
       Vec3{0.0, 0.0, -60e-6}, Vec3{0.0, 0.0, 1.0}, 120e-6, 16e-6,
       /*capped=*/false);
@@ -68,22 +66,29 @@ std::unique_ptr<core::AprSimulation> make_sim(bool incremental) {
 }
 
 /// One relocation per iteration: the window hops between two positions
-/// `cells` coarse cells apart along the tube axis.
+/// `cells` coarse cells apart along the tube axis, shifted by
+/// relocate_window() (incremental=1) or rebuilt by place_window()
+/// (incremental=0).
 void BM_WindowRelocation(benchmark::State& state) {
   set_log_level(LogLevel::Warn);
   const int cells = static_cast<int>(state.range(0));
   const bool incremental = state.range(1) != 0;
-  auto sim = make_sim(incremental);
+  auto sim = make_sim();
   const Vec3 c0{0.0, 0.0, -6e-6};
   const Vec3 c1 = c0 + Vec3{0.0, 0.0, cells * kDxCoarse};
   sim->place_window(c0);
 
-  core::WindowRelocationStats st;
   bool at_c0 = true;
   for (auto _ : state) {
-    st = sim->relocate_window(at_c0 ? c1 : c0);
+    const Vec3& target = at_c0 ? c1 : c0;
+    if (incremental) {
+      sim->relocate_window(target);
+    } else {
+      sim->place_window(target);
+    }
     at_c0 = !at_c0;
   }
+  const core::WindowRelocationStats& st = sim->last_relocation();
   state.counters["preserved_nodes"] = static_cast<double>(st.preserved_nodes);
   state.counters["reinit_nodes"] = static_cast<double>(st.reinit_nodes);
   state.counters["incremental"] = st.incremental ? 1.0 : 0.0;

@@ -208,12 +208,9 @@ RunResult run_apr(std::uint64_t seed, const RestartOptions& restart,
                 sim.last_recovery() ? " (recovered)" : "");
     if (const auto& rec = sim.last_recovery()) {
       std::printf("  recovery: violation at step %d, rolled back to %d, "
-                  "replayed %d steps%s\n",
+                  "replayed %d steps\n",
                   rec->violation_step, rec->rollback_step,
-                  rec->replayed_steps,
-                  rec->replay_divergent ? " (replay diverged: incremental "
-                                          "move re-run on reference path)"
-                                        : " (bit-exact span)");
+                  rec->replayed_steps);
     }
   }
   return {sim.ctc_trajectory(), sim.total_site_updates(), sim.profiler()};
@@ -236,8 +233,7 @@ RunResult run_efsi(std::uint64_t seed) {
   Rng tile_rng(seed * 7 + 1);
   const cells::RbcTile tile =
       cells::RbcTile::generate(*make_rbc(), 6e-6, 0.10, tile_rng);
-  sim.fill_region(Aabb({-16e-6, -16e-6, 4e-6}, {16e-6, 16e-6, 50e-6}), tile,
-                  0.10);
+  sim.fill_region(Aabb({-16e-6, -16e-6, 4e-6}, {16e-6, 16e-6, 50e-6}), tile);
   sim.run(kAprSteps * kN);  // same physical time as the APR run
   return {sim.ctc_trajectory(), sim.total_site_updates(), {}};
 }

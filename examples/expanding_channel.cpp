@@ -113,7 +113,7 @@ int main() {
   const cells::RbcTile tile =
       cells::RbcTile::generate(*rbc, 6e-6, 0.12, tile_rng);
   const int filled = efsi.fill_region(
-      Aabb({-20e-6, -20e-6, 2e-6}, {20e-6, 20e-6, 60e-6}), tile, 0.12);
+      Aabb({-20e-6, -20e-6, 2e-6}, {20e-6, 20e-6, 60e-6}), tile);
   std::printf("eFSI: %d RBCs over the whole channel (APR window holds %zu)\n",
               filled, apr_sim.rbcs().size());
   // Match physical time: eFSI (fine dt) needs n x the steps.

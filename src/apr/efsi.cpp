@@ -51,16 +51,12 @@ void EfsiSimulation::place_ctc(const Vec3& position) {
 }
 
 int EfsiSimulation::fill_region(const Aabb& region,
-                                const cells::RbcTile& tile,
-                                double target_hematocrit) {
-  (void)target_hematocrit;  // density set by the tile itself
-  double rmax = 0.0;
-  {
-    const auto& ref = rbc_model_->reference();
-    const Vec3 c0 = ref.centroid();
-    for (const auto& v : ref.vertices) rmax = std::max(rmax, norm(v - c0));
-  }
+                                const cells::RbcTile& tile) {
+  const double rmax = rbc_model_->max_radius();
   const double min_dist = 0.15 * rmax;
+  const Aabb grid_region = region.inflated(2.0 * rmax);
+  cells::SubGrid grid(grid_region, std::max(min_dist, rmax / 2.0));
+  cells::fill_subgrid(grid, {rbcs_.get(), ctcs_.get()});
 
   int added = 0;
   const double s = tile.side();
@@ -74,39 +70,17 @@ int EfsiSimulation::fill_region(const Aabb& region,
         const Vec3 c = region.lo + Vec3{(i + 0.5) * s, (j + 0.5) * s,
                                         (k + 0.5) * s};
         const Mat3 rot = random_rotation(rng_);
-        auto cells_verts = tile.instantiate_at(*rbc_model_, c, rot);
-
-        cells::SubGrid grid(region.inflated(2.0 * rmax),
-                            std::max(min_dist, rmax / 2.0));
-        std::vector<const cells::CellPool*> cpools{rbcs_.get(), ctcs_.get()};
-        cells::fill_subgrid(grid, cpools);
-
         std::vector<cells::Candidate> candidates;
-        for (auto& verts : cells_verts) {
-          const Vec3 cc = cells::centroid(verts);
-          if (!region.contains(cc)) continue;
-          bool in_domain = true;
-          for (const auto& v : verts) {
-            if (!domain_->inside(v)) {
-              in_domain = false;
-              break;
-            }
-          }
+        for (auto& verts : tile.instantiate_at(*rbc_model_, c, rot)) {
+          if (!region.contains(cells::centroid(verts))) continue;
+          const bool in_domain =
+              std::all_of(verts.begin(), verts.end(),
+                          [&](const Vec3& v) { return domain_->inside(v); });
           if (!in_domain) continue;
-          cells::Candidate cand;
-          cand.id = next_cell_id_++;
-          cand.vertices = std::move(verts);
-          candidates.push_back(std::move(cand));
+          candidates.push_back({next_cell_id_++, std::move(verts)});
         }
-        const auto dropped = cells::resolve_overlaps(
-            candidates, grid, region.inflated(2.0 * rmax), min_dist);
-        for (const auto& cand : candidates) {
-          if (std::binary_search(dropped.begin(), dropped.end(), cand.id)) {
-            continue;
-          }
-          rbcs_->add(cand.id, cand.vertices);
-          ++added;
-        }
+        added += cells::add_nonoverlapping(std::move(candidates), grid,
+                                           grid_region, min_dist, *rbcs_);
       }
     }
   }

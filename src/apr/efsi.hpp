@@ -42,10 +42,10 @@ class EfsiSimulation {
 
   void place_ctc(const Vec3& position);
 
-  /// Fill `region` (clipped to the domain) with RBCs at the target
-  /// hematocrit by stamping the same tile used by the APR window.
-  int fill_region(const Aabb& region, const cells::RbcTile& tile,
-                  double target_hematocrit);
+  /// Fill `region` (clipped to the domain) with RBCs by stamping the same
+  /// tile used by the APR window; the tile's packing sets the density.
+  /// Returns the number of cells added.
+  int fill_region(const Aabb& region, const cells::RbcTile& tile);
 
   /// One fine time step with FSI.
   void step();

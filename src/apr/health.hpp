@@ -22,8 +22,8 @@
 /// the first offending node or cell, the step and the value; the
 /// simulation then applies a HealthPolicy: Throw (typed HealthError, the
 /// default in tests), Log, or Recover (roll back to a rolling in-memory
-/// io::Checkpoint and re-run the span on the full-rebuild reference
-/// path -- see DESIGN.md §10).
+/// io::Checkpoint and re-run the span bit-exactly on the production path
+/// -- see DESIGN.md §10).
 
 #include <cstddef>
 #include <cstdint>
@@ -129,20 +129,14 @@ class HealthError : public std::runtime_error {
   HealthReport report_;
 };
 
-/// What one Recover rollback did.
+/// What one Recover rollback did. The replay runs on the production path,
+/// window moves included, so the replayed span is bit-exact with the
+/// original one: a transient fault vanishes and a deterministic one
+/// reproduces (and escalates).
 struct RecoveryReport {
   int violation_step = 0;  ///< step the violating scan ran at
   int rollback_step = 0;   ///< step of the rolling checkpoint restored
   int replayed_steps = 0;
-  /// True when the replay cannot be bit-exact with the original span: a
-  /// window move inside the span was re-run on the full-rebuild reference
-  /// path while the original used the incremental shift. The rebuild
-  /// re-seeds the whole window from the coarse field instead of carrying
-  /// the developed fine flow, so the trajectories part by up to ~0.05
-  /// dx_c (tests/test_window_relocation.cpp). The run continues from a
-  /// valid state either way; this flag reports the divergence instead of
-  /// dying.
-  bool replay_divergent = false;
 };
 
 /// Stateless scanner; holds a copy of the thresholds. Scans are fused

@@ -55,8 +55,6 @@ AprParams params_from_config(const Config& config) {
   p.rbc_capacity =
       static_cast<std::size_t>(config.get_int("rbc_capacity", 1500));
   p.seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
-  p.incremental_window_move =
-      config.get_bool("incremental_window_move", true);
 
   // Collision operator (see lbm/lattice.hpp). BGK is the paper's choice;
   // trt_magic is read even for bgk/mrt so a bad deck fails loudly.

@@ -18,14 +18,6 @@ namespace apr::core {
 
 namespace {
 
-double max_cell_radius(const fem::MembraneModel& model) {
-  const auto& ref = model.reference();
-  const Vec3 c0 = ref.centroid();
-  double r = 0.0;
-  for (const auto& v : ref.vertices) r = std::max(r, norm(v - c0));
-  return r;
-}
-
 /// One live cell across the active pools; the FSI helpers parallelize
 /// over this flattened list so RBCs and the CTC share one work queue.
 struct CellRef {
@@ -92,7 +84,7 @@ void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
       }
     }
     if (all.valid()) {
-      const double rmax = max_cell_radius(pools.front()->model());
+      const double rmax = pools.front()->model().max_radius();
       cells::SubGrid grid(all.inflated(2.0 * rmax + params.contact_cutoff),
                           std::max(params.contact_cutoff, rmax / 2.0));
       std::vector<const cells::CellPool*> cpools(pools.begin(), pools.end());
@@ -205,7 +197,7 @@ AprSimulation::AprSimulation(
   Rng tile_rng = rng_.fork(0x711Eull);
   const double tile_side =
       std::max(params_.window.insertion_width,
-               4.2 * max_cell_radius(*rbc_model_));
+               4.2 * rbc_model_->max_radius());
   tile_ = std::make_unique<cells::RbcTile>(cells::RbcTile::generate(
       *rbc_model_, tile_side,
       std::min(0.98, params_.window.target_hematocrit *
@@ -259,7 +251,7 @@ void AprSimulation::set_body_force_density(const Vec3& f_phys) {
 }
 
 WindowRelocationStats AprSimulation::relocate_fine_lattice(
-    const Vec3& window_center) {
+    const Vec3& window_center, bool allow_shift) {
   OBS_SPAN("window", "relocate_fine_lattice");
   // The old coupler's footprint tau and Coupling nodes must be undone
   // before the fine lattice is shifted or replaced.
@@ -271,8 +263,7 @@ WindowRelocationStats AprSimulation::relocate_fine_lattice(
   const int nn =
       static_cast<int>(std::round(params_.window.outer_side() / dxf)) + 1;
   WindowRelocationStats st;
-  const bool shifted = params_.incremental_window_move &&
-                       try_shift_fine_lattice(box, nn, st);
+  const bool shifted = allow_shift && try_shift_fine_lattice(box, nn, st);
   if (!shifted) build_fine_lattice(box, nn, st);
   attach_coupler();
   // Re-apply the body force and reset the per-node force field: the shift
@@ -471,7 +462,7 @@ void AprSimulation::place_window(const Vec3& center) {
   const Vec3 snapped = Window::snap_center(center, params_.window,
                                            coarse_->origin(), coarse_->dx());
   window_.emplace(snapped, params_.window, domain_.get());
-  relocate_fine_lattice(snapped);
+  relocate_fine_lattice(snapped, /*allow_shift=*/false);
 }
 
 WindowRelocationStats AprSimulation::relocate_window(const Vec3& center) {
@@ -479,7 +470,7 @@ WindowRelocationStats AprSimulation::relocate_window(const Vec3& center) {
   const Vec3 snapped = Window::snap_center(center, params_.window,
                                            coarse_->origin(), coarse_->dx());
   window_.emplace(snapped, params_.window, domain_.get());
-  return relocate_fine_lattice(snapped);
+  return relocate_fine_lattice(snapped, /*allow_shift=*/true);
 }
 
 void AprSimulation::place_ctc(const Vec3& position) {
@@ -775,7 +766,8 @@ void AprSimulation::rebuild_window_at_ctc() {
   log_info("window move #", move_count_, ": captured ", rep.captured,
            ", filled ", rep.filled, ", discarded ", rep.discarded,
            ", inserted ", rep.repopulation.added);
-  const WindowRelocationStats st = relocate_fine_lattice(window_->center());
+  const WindowRelocationStats st =
+      relocate_fine_lattice(window_->center(), /*allow_shift=*/true);
   log_info("  relocation: ", st.incremental ? "incremental" : "full rebuild",
            ", preserved ", st.preserved_nodes, ", re-seeded ",
            st.reinit_nodes);
@@ -877,8 +869,7 @@ void AprSimulation::recover_from(const HealthReport& violation) {
   rec.replayed_steps = rec.violation_step - rec.rollback_step;
   log_warn(violation.message);
   log_warn("health: rolling back from step ", rec.violation_step,
-           " to step ", rec.rollback_step, " and replaying on the ",
-           "full-rebuild reference path");
+           " to step ", rec.rollback_step, " and replaying");
   if (obs::Tracer::instance().enabled()) {
     obs::Tracer::instance().record_instant(
         "health", "rollback",
@@ -892,37 +883,21 @@ void AprSimulation::recover_from(const HealthReport& violation) {
   const io::Checkpoint ckpt = std::move(*rolling_checkpoint_);
   rolling_checkpoint_.reset();
   load_checkpoint(ckpt);  // strong guarantee; throws on a corrupt container
+  last_recovery_ = rec;
 
-  // Replay with incremental relocation disabled: the shift-and-reuse path
-  // is the prime suspect for state corruption at the seams, so the replay
-  // runs every move through the reference full rebuild. The digest guard
-  // in load_checkpoint covers this flag, so it is flipped only after the
-  // restore above and restored before the post-replay checkpoint below.
-  const bool was_incremental = params_.incremental_window_move;
-  const int moves_before = move_count_;
-  params_.incremental_window_move = false;
+  // Replay on the production path, window moves included: the restored
+  // state and Rng stream make the span bit-exact with the original.
   recovering_ = true;
   try {
     run(rec.violation_step - coarse_steps_);
   } catch (...) {
-    params_.incremental_window_move = was_incremental;
     recovering_ = false;
-    last_recovery_ = rec;
     throw;
   }
-  params_.incremental_window_move = was_incremental;
   recovering_ = false;
-  // A window move replayed on the reference path while the original span
-  // used the incremental shift: the full rebuild re-seeds the whole window
-  // from the coarse field instead of carrying the developed fine flow, so
-  // the replayed state is valid but not bit-exact with the original (the
-  // CTC trajectories of the two paths stay within 0.05 dx_c, see
-  // CtcTrajectoryInvariantToIncrementalFlag).
-  rec.replay_divergent = was_incremental && move_count_ > moves_before;
 
   HealthReport after = check_health();
   last_health_report_ = after;
-  last_recovery_ = rec;
   if (!after.ok()) {
     // The violation reproduced from a vouched-for state: deterministic
     // fault, not transient corruption. Escalate instead of looping.
@@ -931,10 +906,7 @@ void AprSimulation::recover_from(const HealthReport& violation) {
   rolling_checkpoint_ = make_checkpoint();
   rolling_checkpoint_step_ = coarse_steps_;
   log_info("health: recovered; replayed ", rec.replayed_steps,
-           " steps from step ", rec.rollback_step,
-           rec.replay_divergent ? " (replay divergent: window move re-run "
-                                  "on the reference path)"
-                                : " (bit-exact replay)");
+           " steps from step ", rec.rollback_step);
 }
 
 }  // namespace apr::core

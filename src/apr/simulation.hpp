@@ -89,13 +89,6 @@ struct AprParams {
   std::size_t rbc_capacity = 512;
   std::uint64_t seed = 42;
   double tile_hematocrit_boost = 1.0;  ///< tile packing factor vs target
-  /// Relocate the window by shifting the surviving fine-lattice state into
-  /// a recycled allocation and re-initializing only the newly exposed slab
-  /// (the default). When false every move falls back to the reference
-  /// full rebuild: fresh allocation, whole-window voxelization and
-  /// init-from-coarse -- kept as the equivalence baseline, like the serial
-  /// reference paths elsewhere.
-  bool incremental_window_move = true;
   /// Collision operator for both lattices (paper §2.1 uses BGK; TRT and
   /// MRT are the stability/accuracy extensions, see lbm/lattice.hpp).
   /// Shapes the trajectory, so it IS digested -- but only when it
@@ -170,13 +163,19 @@ class AprSimulation {
   void set_body_force_density(const Vec3& f_phys);
 
   /// Create the window (fine lattice + coupler) centered near `center`
-  /// (snapped to the coarse grid).
+  /// (snapped to the coarse grid). Always builds a fresh fine lattice:
+  /// whole-window voxelization and init-from-coarse. Called on an
+  /// existing window it is the reference full rebuild the shift path is
+  /// tested against.
   void place_window(const Vec3& center);
 
   /// Move an existing window so it is centered near `center` (snapped to
-  /// the coarse grid), relocating the fine lattice incrementally when
-  /// params().incremental_window_move allows it. Exposed so benches and
-  /// tests can drive relocation directly, without the CTC/mover machinery.
+  /// the coarse grid), the same relocation a CTC-triggered move does: the
+  /// surviving fine-lattice state is shifted and only the exposed slabs
+  /// are re-seeded whenever the old and new windows overlap by an
+  /// integral fine-node displacement; otherwise the fine lattice is
+  /// rebuilt. Exposed so benches and tests can drive relocation directly,
+  /// without the CTC/mover machinery.
   WindowRelocationStats relocate_window(const Vec3& center);
 
   /// Stats of the most recent window relocation (place or move).
@@ -361,8 +360,9 @@ class AprSimulation {
   std::uint64_t health_violations_ = 0;
 
   /// (Re)create fine lattice + coupler at `window_center`, taking the
-  /// incremental shift path when enabled and applicable.
-  WindowRelocationStats relocate_fine_lattice(const Vec3& window_center);
+  /// incremental shift path when `allow_shift` and it applies.
+  WindowRelocationStats relocate_fine_lattice(const Vec3& window_center,
+                                              bool allow_shift);
   /// Reference path: fresh lattice, full voxelization + init-from-coarse.
   void build_fine_lattice(const Aabb& box, int nn, WindowRelocationStats& st);
   /// Shift path: recycle the spare allocation, import the surviving state,
@@ -385,7 +385,7 @@ class AprSimulation {
   /// Health profiler phase and apply the configured policy on violation.
   void run_health_check();
   /// Recover policy: roll back to the rolling checkpoint, replay the span
-  /// on the full-rebuild reference path, and re-scan. Throws HealthError
+  /// (bit-exact, window moves included), and re-scan. Throws HealthError
   /// when the violation survives the replay (a deterministic fault).
   void recover_from(const HealthReport& violation);
 };

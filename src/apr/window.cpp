@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "src/cells/subgrid.hpp"
 #include "src/obs/trace.hpp"
 
 namespace apr::core {
@@ -121,10 +121,7 @@ double Window::hematocrit(const cells::CellPool& rbcs) const {
 }
 
 void Window::ensure_measure_regions(const cells::CellPool& rbcs) const {
-  const auto& ref = rbcs.model().reference();
-  const Vec3 c0 = ref.centroid();
-  double rmax = 0.0;
-  for (const auto& v : ref.vertices) rmax = std::max(rmax, norm(v - c0));
+  const double rmax = rbcs.model().max_radius();
   if (measure_rmax_ == rmax && !measure_boxes_.empty()) return;
   measure_rmax_ = rmax;
   measure_boxes_.clear();
@@ -181,11 +178,30 @@ int Window::remove_exited_cells(cells::CellPool& rbcs) const {
   return static_cast<int>(doomed.size());
 }
 
-int Window::stamp_tile(const Aabb& box, const Aabb& keep_region,
-                       cells::CellPool& rbcs, const cells::RbcTile& tile,
-                       Rng& rng, std::uint64_t& next_id,
-                       std::span<const Vec3> avoid,
-                       PopulationReport& report) const {
+cells::SubGrid Window::insertion_grid(const cells::CellPool& rbcs) const {
+  const double rmax = rbcs.model().max_radius();
+  cells::SubGrid grid(outer_box().inflated(2.0 * rmax),
+                      std::max(insertion_clearance(rmax), rmax / 2.0));
+  cells::fill_subgrid(grid, {&rbcs});
+  return grid;
+}
+
+double Window::insertion_clearance(double rmax) const {
+  return cfg_.min_cell_distance > 0.0 ? cfg_.min_cell_distance : 0.15 * rmax;
+}
+
+int Window::insert_cells(std::vector<cells::Candidate> candidates,
+                         cells::SubGrid& grid, cells::CellPool& rbcs) const {
+  const double rmax = rbcs.model().max_radius();
+  return cells::add_nonoverlapping(std::move(candidates), grid,
+                                   outer_box().inflated(2.0 * rmax),
+                                   insertion_clearance(rmax), rbcs);
+}
+
+void Window::stamp_tile(const Aabb& box, cells::CellPool& rbcs,
+                        const cells::RbcTile& tile, Rng& rng,
+                        std::uint64_t& next_id, cells::SubGrid& grid,
+                        PopulationReport& report) const {
   // Random orientation and a random offset inside the subregion (the tile
   // is at least as large as the subregion, so coverage is complete).
   const Mat3 rot = random_rotation(rng);
@@ -194,54 +210,19 @@ int Window::stamp_tile(const Aabb& box, const Aabb& keep_region,
       box.center() + Vec3{rng.uniform(-jitter, jitter),
                           rng.uniform(-jitter, jitter),
                           rng.uniform(-jitter, jitter)};
-  auto candidates_verts = tile.instantiate_at(rbcs.model(), center, rot);
-
-  // Existing cells (plus the avoid set) as the immovable background.
-  double rmax = 0.0;
-  {
-    const auto& ref = rbcs.model().reference();
-    const Vec3 c0 = ref.centroid();
-    for (const auto& v : ref.vertices) rmax = std::max(rmax, norm(v - c0));
-  }
-  const double min_dist =
-      cfg_.min_cell_distance > 0.0 ? cfg_.min_cell_distance : 0.15 * rmax;
-
-  cells::SubGrid grid(outer_box().inflated(2.0 * rmax),
-                      std::max(min_dist, rmax / 2.0));
-  cells::fill_subgrid(grid, {&rbcs});
-  constexpr std::uint64_t kAvoidId = ~0ull;
-  for (std::size_t v = 0; v < avoid.size(); ++v) {
-    grid.insert(avoid[v], kAvoidId, static_cast<int>(v));
-  }
-
   std::vector<cells::Candidate> candidates;
-  for (auto& verts : candidates_verts) {
-    const Vec3 c = cells::centroid(verts);
-    if (!keep_region.contains(c)) continue;
-    if (!box.contains(c)) continue;
+  for (auto& verts : tile.instantiate_at(rbcs.model(), center, rot)) {
+    if (!box.contains(cells::centroid(verts))) continue;
     if (!cell_inside_domain(verts)) {
       ++report.rejected_wall;
       continue;
     }
-    cells::Candidate cand;
-    cand.id = next_id++;
-    cand.vertices = std::move(verts);
-    candidates.push_back(std::move(cand));
+    candidates.push_back({next_id++, std::move(verts)});
   }
-
-  const auto dropped = cells::resolve_overlaps(
-      candidates, grid, outer_box().inflated(2.0 * rmax), min_dist);
-  int added = 0;
-  for (const auto& cand : candidates) {
-    if (std::binary_search(dropped.begin(), dropped.end(), cand.id)) {
-      ++report.rejected_overlap;
-      continue;
-    }
-    rbcs.add(cand.id, cand.vertices);
-    ++added;
-  }
+  const int stamped = static_cast<int>(candidates.size());
+  const int added = insert_cells(std::move(candidates), grid, rbcs);
+  report.rejected_overlap += stamped - added;
   report.added += added;
-  return added;
 }
 
 PopulationReport Window::populate(cells::CellPool& rbcs,
@@ -250,6 +231,12 @@ PopulationReport Window::populate(cells::CellPool& rbcs,
                                   std::span<const Vec3> avoid) const {
   OBS_SPAN("window", "populate");
   PopulationReport report;
+  // Existing cells plus the avoid set are the immovable background.
+  cells::SubGrid grid = insertion_grid(rbcs);
+  constexpr std::uint64_t kAvoidId = ~0ull;
+  for (std::size_t v = 0; v < avoid.size(); ++v) {
+    grid.insert(avoid[v], kAvoidId, static_cast<int>(v));
+  }
   // Partition the outer box into *disjoint* stamp boxes no larger than
   // the tile (each stamp keeps only cells whose centroid falls in its own
   // box, so no region is seeded twice).
@@ -263,8 +250,7 @@ PopulationReport Window::populate(cells::CellPool& rbcs,
         const Vec3 c = outer.lo + Vec3{(i + 0.5) * box_side,
                                        (j + 0.5) * box_side,
                                        (k + 0.5) * box_side};
-        const Aabb stamp_box = Aabb::cube(c, box_side);
-        stamp_tile(stamp_box, stamp_box, rbcs, tile, rng, next_id, avoid,
+        stamp_tile(Aabb::cube(c, box_side), rbcs, tile, rng, next_id, grid,
                    report);
       }
     }
@@ -279,12 +265,13 @@ PopulationReport Window::maintain(cells::CellPool& rbcs,
   PopulationReport report;
   report.removed_outside = remove_exited_cells(rbcs);
   const double floor_ht = cfg_.repopulation_threshold * cfg_.target_hematocrit;
+  std::optional<cells::SubGrid> grid;  // built at the first refill
   for (std::size_t s = 0; s < subregions_.size(); ++s) {
     if (fill_[s] <= 0.0) continue;
     if (subregion_hematocrit(s, rbcs) >= floor_ht) continue;
     ++report.subregions_refilled;
-    stamp_tile(subregions_[s], subregions_[s], rbcs, tile, rng, next_id, {},
-               report);
+    if (!grid) grid.emplace(insertion_grid(rbcs));
+    stamp_tile(subregions_[s], rbcs, tile, rng, next_id, *grid, report);
   }
   return report;
 }

@@ -25,6 +25,7 @@
 
 #include "src/cells/cell_pool.hpp"
 #include "src/cells/overlap.hpp"
+#include "src/cells/subgrid.hpp"
 #include "src/cells/tile.hpp"
 #include "src/common/aabb.hpp"
 #include "src/common/rng.hpp"
@@ -138,6 +139,16 @@ class Window {
   PopulationReport maintain(cells::CellPool& rbcs, const cells::RbcTile& tile,
                             Rng& rng, std::uint64_t& next_id) const;
 
+  /// Background grid for inserting into this window: every cell of
+  /// `rbcs`, over the outer box inflated by two cell radii.
+  cells::SubGrid insertion_grid(const cells::CellPool& rbcs) const;
+
+  /// Add the candidates that keep the configured clearance from every
+  /// vertex in `grid` and from each other (cells::add_nonoverlapping);
+  /// returns the number added.
+  int insert_cells(std::vector<cells::Candidate> candidates,
+                   cells::SubGrid& grid, cells::CellPool& rbcs) const;
+
  private:
   Vec3 center_;
   WindowConfig cfg_;
@@ -157,13 +168,15 @@ class Window {
   void ensure_measure_regions(const cells::CellPool& rbcs) const;
   double box_fill(const Aabb& box) const;
   bool cell_inside_domain(std::span<const Vec3> verts) const;
+  /// Minimum vertex-vertex clearance for cells of radius `rmax`.
+  double insertion_clearance(double rmax) const;
 
-  /// Stamp the tile into `box`, keeping candidates whose centroid lies in
-  /// `keep_region`; returns accepted count.
-  int stamp_tile(const Aabb& box, const Aabb& keep_region,
-                 cells::CellPool& rbcs, const cells::RbcTile& tile, Rng& rng,
-                 std::uint64_t& next_id, std::span<const Vec3> avoid,
-                 PopulationReport& report) const;
+  /// Stamp the tile into `box`, keeping in-domain candidates whose
+  /// centroid lies in `box` and that clear every vertex in `grid`.
+  void stamp_tile(const Aabb& box, cells::CellPool& rbcs,
+                  const cells::RbcTile& tile, Rng& rng,
+                  std::uint64_t& next_id, cells::SubGrid& grid,
+                  PopulationReport& report) const;
 };
 
 }  // namespace apr::core

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "src/cells/subgrid.hpp"
-
 namespace apr::core {
 
 bool WindowMover::should_move(const Window& window,
@@ -33,10 +31,7 @@ MoveReport WindowMover::move(Window& window, cells::CellPool& rbcs,
   const Aabb old_outer = window.outer_box();
 
   // Pass 1: classify existing cells and collect deep copies.
-  struct Copy {
-    std::vector<Vec3> verts;
-  };
-  std::vector<Copy> fill_copies;
+  std::vector<cells::Candidate> fill_copies;
   std::vector<std::uint64_t> keep_ids;
   std::vector<std::uint64_t> drop_ids;
   for (std::size_t slot = 0; slot < rbcs.size(); ++slot) {
@@ -49,15 +44,14 @@ MoveReport WindowMover::move(Window& window, cells::CellPool& rbcs,
     }
     // Deep copy (of every old-window cell) shifted to the new frame.
     if (!old_outer.contains(c)) continue;
-    Copy copy;
-    copy.verts.assign(x.begin(), x.end());
-    for (auto& v : copy.verts) v += delta;
     const Vec3 cc = c + delta;
     // Keep the copy only if it lands in the fill region: the part of the
     // new inner box the capture pass could not supply because it lies
     // beyond the old window (for small displacements this region is
     // empty and the capture alone re-uses every deformed cell).
     if (new_inner.contains(cc) && !old_outer.contains(cc)) {
+      cells::Candidate copy{next_id++, std::vector<Vec3>(x.begin(), x.end())};
+      for (auto& v : copy.vertices) v += delta;
       fill_copies.push_back(std::move(copy));
     }
   }
@@ -72,35 +66,8 @@ MoveReport WindowMover::move(Window& window, cells::CellPool& rbcs,
 
   // Pass 4: insert fill copies (deterministic overlap resolution against
   // the captured cells).
-  {
-    double rmax = 0.0;
-    const auto& ref = rbcs.model().reference();
-    const Vec3 c0 = ref.centroid();
-    for (const auto& v : ref.vertices) rmax = std::max(rmax, norm(v - c0));
-    const double min_dist = cfg.min_cell_distance > 0.0
-                                ? cfg.min_cell_distance
-                                : 0.15 * rmax;
-    cells::SubGrid grid(window.outer_box().inflated(2.0 * rmax),
-                        std::max(min_dist, rmax / 2.0));
-    cells::fill_subgrid(grid, {&rbcs});
-    std::vector<cells::Candidate> candidates;
-    candidates.reserve(fill_copies.size());
-    for (auto& copy : fill_copies) {
-      cells::Candidate cand;
-      cand.id = next_id++;
-      cand.vertices = std::move(copy.verts);
-      candidates.push_back(std::move(cand));
-    }
-    const auto dropped = cells::resolve_overlaps(
-        candidates, grid, window.outer_box().inflated(2.0 * rmax), min_dist);
-    for (const auto& cand : candidates) {
-      if (std::binary_search(dropped.begin(), dropped.end(), cand.id)) {
-        continue;
-      }
-      rbcs.add(cand.id, cand.vertices);
-      ++report.filled;
-    }
-  }
+  cells::SubGrid grid = window.insertion_grid(rbcs);
+  report.filled = window.insert_cells(std::move(fill_copies), grid, rbcs);
 
   // Pass 5: re-populate the insertion shell.
   report.repopulation = window.maintain(rbcs, tile, rng, next_id);

@@ -51,6 +51,25 @@ std::vector<std::uint64_t> resolve_overlaps(
   return dropped;
 }
 
+int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& background,
+                       const Aabb& region, double min_distance,
+                       CellPool& pool) {
+  const auto dropped =
+      resolve_overlaps(candidates, background, region, min_distance);
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
+  int added = 0;
+  for (const Candidate& c : candidates) {
+    if (std::binary_search(dropped.begin(), dropped.end(), c.id)) continue;
+    pool.add(c.id, c.vertices);
+    for (std::size_t v = 0; v < c.vertices.size(); ++v) {
+      background.insert(c.vertices[v], c.id, static_cast<int>(v));
+    }
+    ++added;
+  }
+  return added;
+}
+
 void fill_subgrid(SubGrid& grid,
                   const std::vector<const CellPool*>& pools) {
   grid.clear();

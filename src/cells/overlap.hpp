@@ -39,6 +39,15 @@ std::vector<std::uint64_t> resolve_overlaps(
     const std::vector<Candidate>& candidates, const SubGrid& existing,
     const Aabb& region, double min_distance);
 
+/// The one cell-insertion routine (tile stamps, window-move fill copies,
+/// eFSI fills): resolve `candidates` against `background` with
+/// resolve_overlaps, add the survivors to `pool` in increasing ID order
+/// and insert their vertices into `background`, so the next batch sharing
+/// the grid sees them. Returns the number of candidates added.
+int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& background,
+                       const Aabb& region, double min_distance,
+                       CellPool& pool);
+
 /// Rebuild `grid` with every vertex of every cell in `pools`.
 void fill_subgrid(SubGrid& grid,
                   const std::vector<const CellPool*>& pools);

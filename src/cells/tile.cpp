@@ -22,10 +22,7 @@ RbcTile RbcTile::generate(const fem::MembraneModel& rbc, double side,
   // enough from the tile faces that at most ~25% of the cell radius pokes
   // out (overlap resolution at stamping time handles collisions between
   // neighbouring tiles).
-  const auto& ref = rbc.reference();
-  const Vec3 c0 = ref.centroid();
-  double rmax = 0.0;
-  for (const auto& v : ref.vertices) rmax = std::max(rmax, norm(v - c0));
+  const double rmax = rbc.max_radius();
   const double margin = std::min(0.75 * rmax, side / 2.0);
 
   if (min_distance <= 0.0) min_distance = 0.15 * rmax;

@@ -30,6 +30,10 @@ MembraneModel::MembraneModel(mesh::TriMesh reference, MembraneParams params)
   }
   ref_area_ = ref_.area();
   ref_volume_ = ref_.volume();
+  const Vec3 c0 = ref_.centroid();
+  for (const auto& v : ref_.vertices) {
+    max_radius_ = std::max(max_radius_, norm(v - c0));
+  }
 }
 
 void MembraneModel::add_forces(const std::vector<Vec3>& x,

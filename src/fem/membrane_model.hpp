@@ -50,6 +50,9 @@ class MembraneModel {
   int num_triangles() const { return ref_.num_triangles(); }
   double ref_area() const { return ref_area_; }
   double ref_volume() const { return ref_volume_; }
+  /// Largest vertex distance from the reference centroid (the cell
+  /// radius used to size insertion margins and overlap grids).
+  double max_radius() const { return max_radius_; }
 
   /// Accumulate all membrane forces (Skalak + bending + constraints) for a
   /// deformed configuration `x` into `forces` (must be sized and typically
@@ -86,6 +89,7 @@ class MembraneModel {
   double hinge_kb_ = 0.0;
   double ref_area_ = 0.0;
   double ref_volume_ = 0.0;
+  double max_radius_ = 0.0;
 };
 
 }  // namespace apr::fem

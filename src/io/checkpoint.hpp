@@ -132,7 +132,9 @@ class BufReader {
     }
     need(count * sizeof(T));
     v.resize(count);
-    std::memcpy(v.data(), p_, count * sizeof(T));
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes (an empty RBC pool reaches this).
+    if (count > 0) std::memcpy(v.data(), p_, count * sizeof(T));
     p_ += count * sizeof(T);
   }
   /// Read exactly n raw bytes (block payloads of the tiled lattice

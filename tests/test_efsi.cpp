@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "src/common/log.hpp"
 #include "src/lbm/boundary.hpp"
 #include "src/mesh/shapes.hpp"
@@ -67,8 +71,21 @@ TEST_F(EfsiTest, FillRegionPlacesNonOverlappingCellsInsideDomain) {
   const cells::RbcTile tile =
       cells::RbcTile::generate(*tiny_rbc(), 6e-6, 0.08, tile_rng);
   const Aabb region({-8e-6, -8e-6, -10e-6}, {8e-6, 8e-6, 10e-6});
-  const int added = sim.fill_region(region, tile, 0.15);
-  EXPECT_GT(added, 5);
+  const int added = sim.fill_region(region, tile);
+  // Pinned outcome of the tile stamps and the ID-ordered overlap removal:
+  // in-domain candidates get ids 1, 2, ... in stamp order, and exactly
+  // these six lose an overlap to a lower id.
+  EXPECT_EQ(added, 289);
+  const std::set<std::uint64_t> dropped{55, 234, 244, 270, 279, 283};
+  std::vector<std::uint64_t> expected_ids;
+  for (std::uint64_t id = 1; id <= 295; ++id) {
+    if (dropped.count(id) == 0) expected_ids.push_back(id);
+  }
+  std::vector<std::uint64_t> ids;
+  for (std::size_t s = 0; s < sim.rbcs().size(); ++s) {
+    ids.push_back(sim.rbcs().id(s));
+  }
+  EXPECT_EQ(ids, expected_ids);
   const auto domain = tube_domain();
   for (std::size_t s = 0; s < sim.rbcs().size(); ++s) {
     for (const auto& v : sim.rbcs().positions(s)) {

@@ -4,8 +4,8 @@
 /// inverted membrane element -- and asserts the watchdog localizes it
 /// (correct node/cell, step, subject), that the Throw policy gives the
 /// strong guarantee (state digest unchanged across the throw), and that
-/// Recover rolls back to the rolling checkpoint and replays to a valid,
-/// bit-exact-or-reported-divergent state.
+/// Recover rolls back to the rolling checkpoint and replays to a state
+/// bit-exact with a never-faulted twin, window moves included.
 
 #include "src/apr/health.hpp"
 
@@ -78,7 +78,8 @@ std::shared_ptr<geometry::TubeDomain> tube_domain() {
 }
 
 /// A ready windowed simulation with cells and developed flow.
-std::unique_ptr<AprSimulation> make_sim(const AprParams& p) {
+std::unique_ptr<AprSimulation> make_sim(const AprParams& p,
+                                        const Vec3& ctc = Vec3{}) {
   auto sim = std::make_unique<AprSimulation>(tube_domain(), tiny_rbc(),
                                              tiny_ctc(), p);
   sim->initialize_flow(Vec3{});
@@ -86,7 +87,7 @@ std::unique_ptr<AprSimulation> make_sim(const AprParams& p) {
   sim->set_body_force_density(Vec3{0, 0, 2e6});
   for (int s = 0; s < 20; ++s) sim->coarse().step();
   sim->place_window(Vec3{});
-  sim->place_ctc(Vec3{});
+  sim->place_ctc(ctc);
   sim->fill_window();
   return sim;
 }
@@ -324,15 +325,44 @@ TEST_F(HealthTest, RecoverRollsBackAndReplaysBitExact) {
   EXPECT_EQ(rec.violation_step, 5);
   EXPECT_EQ(rec.rollback_step, 4);
   EXPECT_EQ(rec.replayed_steps, 1);
-  EXPECT_FALSE(rec.replay_divergent);  // no window move in the span
   EXPECT_TRUE(sim->check_health().ok());
-  // No window move in the replayed span: recovery is bit-exact with the
-  // never-faulted twin.
+  // Recovery is bit-exact with the never-faulted twin.
   EXPECT_EQ(sim->state_digest(), ref->state_digest());
 
   // And the run carries on normally afterwards.
   EXPECT_NO_THROW(sim->run(2));
   EXPECT_EQ(sim->coarse_steps(), 7);
+}
+
+TEST_F(HealthTest, RecoverReplaysWindowMoveBitExact) {
+  // The CTC starts just short of the move trigger, so the mover fires
+  // (at step 13) between the step-8 rolling checkpoint and the step-16
+  // scan that finds the injected NaN. The replay re-runs that move on the
+  // same relocation path as the original, so recovery stays bit-exact.
+  const Vec3 ctc{0.0, 0.0, 2.48e-6};
+  AprParams p = tiny_params();
+  p.health.policy = HealthPolicy::Recover;
+  p.health.interval = 8;
+  auto sim = make_sim(p, ctc);
+  auto ref = make_sim(tiny_params(), ctc);  // never-faulted twin
+
+  sim->run(8);  // clean scan -> rolling checkpoint at step 8
+  ref->run(8);
+  ASSERT_EQ(sim->window_move_count(), 0);
+  sim->run(7);
+  ref->run(7);
+  ASSERT_EQ(sim->window_move_count(), 1);  // the move is inside the span
+
+  sim->fine().set_f(9, first_fluid_node(sim->fine()), kNaN);
+  EXPECT_NO_THROW(sim->run(1));
+  ref->run(1);
+
+  ASSERT_TRUE(sim->last_recovery().has_value());
+  EXPECT_EQ(sim->last_recovery()->rollback_step, 8);
+  EXPECT_EQ(sim->last_recovery()->replayed_steps, 8);
+  EXPECT_TRUE(sim->check_health().ok());
+  EXPECT_EQ(sim->window_move_count(), ref->window_move_count());
+  EXPECT_EQ(sim->state_digest(), ref->state_digest());
 }
 
 TEST_F(HealthTest, RecoverWithoutRollbackPointEscalates) {

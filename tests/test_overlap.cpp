@@ -112,6 +112,35 @@ TEST_F(OverlapTest, ExistingCellsAreNeverDropped) {
   EXPECT_EQ(dropped, (std::vector<std::uint64_t>{1}));
 }
 
+TEST_F(OverlapTest, AddNonoverlappingAddsSurvivorsInIdOrderAndGrowsGrid) {
+  // Survivors land in the pool in global-ID order and in the caller's
+  // grid, so a later batch resolves against them.
+  CellPool pool(model_.get(), CellKind::Rbc, 8);
+  SubGrid grid(region_, 1.0);
+  std::vector<Candidate> first;
+  first.push_back(candidate(30, {6.0, 0, 0}));
+  first.push_back(candidate(20, {0.5, 0, 0}));  // overlaps 10
+  first.push_back(candidate(10, {0, 0, 0}));
+  EXPECT_EQ(add_nonoverlapping(first, grid, region_, 0.5, pool), 2);
+  ASSERT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.id(0), 10u);
+  EXPECT_EQ(pool.id(1), 30u);
+  EXPECT_EQ(grid.size(), 2u * 42u);
+
+  // Beyond the grid bounds the bucket indices clamp, so the verdict still
+  // depends on vertex distances alone.
+  std::vector<Candidate> second;
+  second.push_back(candidate(40, {6.5, 0, 0}));   // overlaps survivor 30
+  second.push_back(candidate(50, {-6.0, 0, 0}));  // free
+  second.push_back(candidate(60, {25.0, 0, 0}));  // outside the grid, free
+  second.push_back(candidate(70, {25.5, 0, 0}));  // overlaps 60
+  EXPECT_EQ(add_nonoverlapping(second, grid, region_, 0.5, pool), 2);
+  ASSERT_EQ(pool.size(), 4u);
+  EXPECT_EQ(pool.id(2), 50u);
+  EXPECT_EQ(pool.id(3), 60u);
+  EXPECT_EQ(grid.size(), 4u * 42u);
+}
+
 TEST_F(OverlapTest, ContactForcesPushApartAndConserveMomentum) {
   CellPool pool(model_.get(), CellKind::Rbc, 4);
   pool.add(1, instantiate(*model_, Vec3{0, 0, 0}));

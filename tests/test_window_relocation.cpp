@@ -305,7 +305,6 @@ TEST_F(WindowRelocationTest, RelocateWithoutWindowThrows) {
 
 TEST_F(WindowRelocationTest, IncrementalShiftPreservesDistributionsBitwise) {
   AprParams p = tiny_params();
-  p.incremental_window_move = true;
   AprSimulation sim(tube_domain(), tiny_rbc(), tiny_ctc(), p);
   sim.initialize_flow(Vec3{});
   sim.coarse().set_periodic(false, false, true);
@@ -366,21 +365,33 @@ TEST_F(WindowRelocationTest, IncrementalShiftPreservesDistributionsBitwise) {
 }
 
 TEST_F(WindowRelocationTest, FullRebuildPathReseedsEverything) {
+  // Two ways to the rebuild: re-placing an existing window (the reference
+  // path), and a relocate_window jump beyond the window width, where old
+  // and new windows share no node and nothing is worth carrying over.
   AprParams p = tiny_params();
-  p.incremental_window_move = false;
-  AprSimulation sim(tube_domain(), tiny_rbc(), tiny_ctc(), p);
-  sim.initialize_flow(Vec3{});
-  sim.coarse().set_periodic(false, false, true);
-  sim.set_body_force_density(Vec3{0.0, 0.0, 6e6});
-  for (int s = 0; s < 100; ++s) sim.coarse().step();
-  sim.place_window(Vec3{});
-  const WindowRelocationStats st =
-      sim.relocate_window(sim.window().center() + Vec3{0.0, 0.0, p.dx_coarse});
-  EXPECT_FALSE(st.incremental);
-  EXPECT_EQ(st.preserved_nodes, 0u);
-  // A full rebuild seeds every fluid node, far more than one exposed slab.
-  EXPECT_GT(st.reinit_nodes,
-            static_cast<std::size_t>(sim.fine().num_nodes()) / 2);
+  const double jump = p.window.outer_side() + p.dx_coarse;
+  for (const bool replace : {true, false}) {
+    AprSimulation sim(tube_domain(), tiny_rbc(), tiny_ctc(), p);
+    sim.initialize_flow(Vec3{});
+    sim.coarse().set_periodic(false, false, true);
+    sim.set_body_force_density(Vec3{0.0, 0.0, 6e6});
+    for (int s = 0; s < 100; ++s) sim.coarse().step();
+    if (replace) {
+      sim.place_window(Vec3{});
+      sim.place_window(sim.window().center() + Vec3{0.0, 0.0, p.dx_coarse});
+    } else {
+      sim.place_window(Vec3{0.0, 0.0, -jump / 2.0});
+      sim.relocate_window(sim.window().center() + Vec3{0.0, 0.0, jump});
+    }
+    const WindowRelocationStats st = sim.last_relocation();
+    EXPECT_FALSE(st.incremental) << "replace=" << replace;
+    EXPECT_EQ(st.preserved_nodes, 0u) << "replace=" << replace;
+    // A full rebuild seeds every fluid node, far more than one exposed
+    // slab.
+    EXPECT_GT(st.reinit_nodes,
+              static_cast<std::size_t>(sim.fine().num_nodes()) / 2)
+        << "replace=" << replace;
+  }
 }
 
 TEST_F(WindowRelocationTest, DiagonalMovesOnSurfaceAlignedTubeStayFinite) {
@@ -395,7 +406,6 @@ TEST_F(WindowRelocationTest, DiagonalMovesOnSurfaceAlignedTubeStayFinite) {
   // first collision). Diagonal moves exercise the full three-slab
   // decomposition the axis-aligned tests miss.
   AprParams p = tiny_params();
-  p.incremental_window_move = true;
   auto narrow = std::make_shared<geometry::TubeDomain>(
       Vec3{0.0, 0.0, -30e-6}, Vec3{0.0, 0.0, 1.0}, 60e-6, 8e-6,
       /*capped=*/false);
@@ -443,10 +453,10 @@ TEST_F(WindowRelocationTest, FineSeedingCarriesCoarseDensityGradient) {
   // placement and every relocation slab then injected a mass kick of
   // order the local (rho - 1). The fix interpolates the coarse density
   // exactly like the velocity; this test drives both relocation paths
-  // across the gradient and bounds the total mass error at 1e-6.
+  // (relocate_window's shift, place_window's rebuild) across the gradient
+  // and bounds the total mass error at 1e-6.
   for (const bool incremental : {true, false}) {
     AprParams p = tiny_params();
-    p.incremental_window_move = incremental;
     AprSimulation sim(tube_domain(), tiny_rbc(), tiny_ctc(), p);
     sim.initialize_flow(Vec3{});
 
@@ -505,47 +515,62 @@ TEST_F(WindowRelocationTest, FineSeedingCarriesCoarseDensityGradient) {
     // slabs (incremental) or re-seeds everything (reference path), and
     // none of it may kick the mass off the coarse field.
     for (int m = 0; m < 3; ++m) {
-      const WindowRelocationStats st = sim.relocate_window(
-          sim.window().center() + Vec3{0.0, 0.0, p.dx_coarse});
-      EXPECT_EQ(st.incremental, incremental);
+      const Vec3 target = sim.window().center() + Vec3{0.0, 0.0, p.dx_coarse};
+      if (incremental) {
+        sim.relocate_window(target);
+      } else {
+        sim.place_window(target);
+      }
+      EXPECT_EQ(sim.last_relocation().incremental, incremental);
       mass_error("after relocation");
     }
   }
 }
 
-TEST_F(WindowRelocationTest, CtcTrajectoryInvariantToIncrementalFlag) {
-  // The incremental path must reproduce the physics of the full rebuild:
-  // the same window moves, and a CTC trajectory that deviates by at most
-  // a small fraction of the coarse spacing. (Exact equality is not
-  // expected -- the full rebuild discards the developed fine flow and
-  // re-seeds the whole window from the coarse field, while the shift
-  // keeps it; the coupling layer drives both to the same solution.)
-  auto run_with = [&](bool incremental) {
-    AprParams p = tiny_params();
-    p.incremental_window_move = incremental;
-    p.window.target_hematocrit = 0.0;  // CTC only: no RBC noise
-    p.move.trigger_distance = 2.0e-6;
-    AprSimulation sim(tube_domain(), tiny_rbc(), tiny_ctc(), p);
-    sim.initialize_flow(Vec3{});
-    sim.coarse().set_periodic(false, false, true);
-    sim.set_body_force_density(Vec3{0.0, 0.0, 1e7});
-    for (int s = 0; s < 300; ++s) sim.coarse().step();
-    sim.place_window(Vec3{});
-    sim.place_ctc(Vec3{});
-    int steps = 0;
-    while (sim.window_move_count() == 0 && steps < 300) {
-      sim.step();
-      ++steps;
-    }
-    EXPECT_GE(sim.window_move_count(), 1) << "no move in " << steps;
-    sim.run(10);
-    return std::make_pair(sim.ctc_trajectory(), sim.window_move_count());
+TEST_F(WindowRelocationTest, CtcTrajectoryInvariantToRelocationPath) {
+  // The incremental shift must reproduce the physics of the full rebuild:
+  // two copies of one developed state, one window moved by
+  // relocate_window (shift), the other re-placed by place_window
+  // (rebuild), must carry the CTC along trajectories that deviate by at
+  // most a small fraction of the coarse spacing. (Exact equality is not
+  // expected -- the rebuild discards the developed fine flow and re-seeds
+  // the whole window from the coarse field, while the shift keeps it; the
+  // coupling layer drives both to the same solution.)
+  AprParams p = tiny_params();
+  p.window.target_hematocrit = 0.0;  // CTC only: no RBC noise
+  p.move.trigger_distance = 2.0e-6;
+  const auto make = [&] {
+    return std::make_unique<AprSimulation>(tube_domain(), tiny_rbc(),
+                                           tiny_ctc(), p);
   };
-  const auto [traj_full, moves_full] = run_with(false);
-  const auto [traj_inc, moves_inc] = run_with(true);
-  EXPECT_EQ(moves_full, moves_inc);
+  auto developed = make();
+  developed->initialize_flow(Vec3{});
+  developed->coarse().set_periodic(false, false, true);
+  developed->set_body_force_density(Vec3{0.0, 0.0, 1e7});
+  for (int s = 0; s < 300; ++s) developed->coarse().step();
+  developed->place_window(Vec3{});
+  developed->place_ctc(Vec3{});
+  developed->run(5);
+  const io::Checkpoint snapshot = developed->make_checkpoint();
+
+  auto shifted = make();
+  auto rebuilt = make();
+  shifted->load_checkpoint(snapshot);
+  rebuilt->load_checkpoint(snapshot);
+  const Vec3 target =
+      developed->window().center() + Vec3{0.0, 0.0, p.dx_coarse};
+  shifted->relocate_window(target);
+  rebuilt->place_window(target);
+  EXPECT_TRUE(shifted->last_relocation().incremental);
+  EXPECT_FALSE(rebuilt->last_relocation().incremental);
+
+  shifted->run(10);
+  rebuilt->run(10);
+  EXPECT_EQ(shifted->window_move_count(), rebuilt->window_move_count());
+  const std::vector<Vec3>& traj_inc = shifted->ctc_trajectory();
+  const std::vector<Vec3>& traj_full = rebuilt->ctc_trajectory();
   ASSERT_EQ(traj_full.size(), traj_inc.size());
-  const double dxc = tiny_params().dx_coarse;
+  const double dxc = p.dx_coarse;
   double max_dev = 0.0;
   for (std::size_t i = 0; i < traj_full.size(); ++i) {
     max_dev = std::max(max_dev, norm(traj_full[i] - traj_inc[i]));
