@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "src/cells/cell.hpp"
@@ -34,12 +35,6 @@ std::vector<CellRef> flatten_cells(
   return refs;
 }
 
-/// Per-worker scratch for the membrane force assembly.
-struct FemScratch {
-  std::vector<Vec3> x;
-  std::vector<Vec3> f;
-};
-
 }  // namespace
 
 void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
@@ -49,25 +44,12 @@ void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
   const std::vector<CellRef> refs = flatten_cells(pools);
 
   // Membrane FEM forces: cells are independent (each writes only its own
-  // force block), so assembly parallelizes per cell across the pools.
-  // Workers reach the calling thread's scratch pool through the captured
-  // pointer -- naming the thread_local inside the lambda would resolve to
-  // each worker's own instance instead.
-  static thread_local exec::WorkerLocal<FemScratch> scratch_tls;
-  scratch_tls.prepare();
-  exec::WorkerLocal<FemScratch>* const pool = &scratch_tls;
-  exec::parallel_for_chunks(
-      refs.size(), [&, pool](std::size_t b, std::size_t e, int w) {
-        FemScratch& sc = (*pool)[static_cast<std::size_t>(w)];
-        for (std::size_t k = b; k < e; ++k) {
-          const auto x = refs[k].pool->positions(refs[k].slot);
-          const auto f = refs[k].pool->forces(refs[k].slot);
-          sc.x.assign(x.begin(), x.end());
-          sc.f.assign(x.size(), Vec3{});
-          refs[k].pool->model().add_forces(sc.x, sc.f);
-          for (std::size_t v = 0; v < x.size(); ++v) f[v] += sc.f[v];
-        }
-      });
+  // force block, which clear_forces just zeroed), so assembly runs in
+  // place and parallelizes per cell across the pools.
+  exec::parallel_for(refs.size(), [&](std::size_t k) {
+    refs[k].pool->model().add_forces(refs[k].pool->positions(refs[k].slot),
+                                     refs[k].pool->forces(refs[k].slot));
+  });
 
   // Cell-cell contact (the subgrid build stays serial -- hash inserts --
   // but the pair search parallelizes per cell inside add_contact_forces).
@@ -85,12 +67,20 @@ void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
     }
     if (all.valid()) {
       const double rmax = pools.front()->model().max_radius();
-      cells::SubGrid grid(all.inflated(2.0 * rmax + params.contact_cutoff),
-                          std::max(params.contact_cutoff, rmax / 2.0));
+      const Aabb box = all.inflated(2.0 * rmax + params.contact_cutoff);
+      const double spacing = std::max(params.contact_cutoff, rmax / 2.0);
+      // The calling thread's grid is re-dimensioned in place every call,
+      // so its buffers are allocated once, not once per sub-step.
+      static thread_local std::optional<cells::SubGrid> grid;
+      if (grid) {
+        grid->reset(box, spacing);
+      } else {
+        grid.emplace(box, spacing);
+      }
       std::vector<const cells::CellPool*> cpools(pools.begin(), pools.end());
-      cells::fill_subgrid(grid, cpools);
+      cells::fill_subgrid(*grid, cpools);
       cells::add_contact_forces(pools, params.contact_cutoff,
-                                params.contact_strength, grid);
+                                params.contact_strength, *grid);
     }
   }
 

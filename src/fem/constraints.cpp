@@ -2,7 +2,7 @@
 
 namespace apr::fem {
 
-double surface_area_with_gradient(const std::vector<Vec3>& x,
+double surface_area_with_gradient(std::span<const Vec3> x,
                                   const std::vector<mesh::Triangle>& tris,
                                   std::vector<Vec3>* grad) {
   double area = 0.0;
@@ -23,7 +23,7 @@ double surface_area_with_gradient(const std::vector<Vec3>& x,
   return area;
 }
 
-double volume_with_gradient(const std::vector<Vec3>& x,
+double volume_with_gradient(std::span<const Vec3> x,
                             const std::vector<mesh::Triangle>& tris,
                             std::vector<Vec3>* grad) {
   double vol = 0.0;
@@ -41,23 +41,35 @@ double volume_with_gradient(const std::vector<Vec3>& x,
   return vol;
 }
 
+namespace {
+
+/// The calling thread's gradient buffer, zeroed to x.size() entries; it
+/// keeps its capacity, so only the first call per thread allocates.
+std::vector<Vec3>& gradient_scratch(std::size_t n) {
+  static thread_local std::vector<Vec3> grad;
+  grad.assign(n, Vec3{});
+  return grad;
+}
+
+}  // namespace
+
 void add_area_constraint_forces(double ka, double ref_area,
-                                const std::vector<Vec3>& x,
+                                std::span<const Vec3> x,
                                 const std::vector<mesh::Triangle>& tris,
-                                std::vector<Vec3>& forces) {
+                                std::span<Vec3> forces) {
   if (ka == 0.0 || ref_area <= 0.0) return;
-  std::vector<Vec3> grad(x.size());
+  std::vector<Vec3>& grad = gradient_scratch(x.size());
   const double area = surface_area_with_gradient(x, tris, &grad);
   const double coef = -ka * (area - ref_area) / ref_area;
   for (std::size_t i = 0; i < x.size(); ++i) forces[i] += grad[i] * coef;
 }
 
 void add_volume_constraint_forces(double kv, double ref_volume,
-                                  const std::vector<Vec3>& x,
+                                  std::span<const Vec3> x,
                                   const std::vector<mesh::Triangle>& tris,
-                                  std::vector<Vec3>& forces) {
+                                  std::span<Vec3> forces) {
   if (kv == 0.0 || ref_volume == 0.0) return;
-  std::vector<Vec3> grad(x.size());
+  std::vector<Vec3>& grad = gradient_scratch(x.size());
   const double vol = volume_with_gradient(x, tris, &grad);
   const double coef = -kv * (vol - ref_volume) / ref_volume;
   for (std::size_t i = 0; i < x.size(); ++i) forces[i] += grad[i] * coef;

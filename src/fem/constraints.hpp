@@ -12,6 +12,7 @@
 ///   grad_a A_t = 0.5 (b - c) x n_hat      (and cyclic)
 ///   grad_a V_t = (b x c) / 6              (and cyclic)
 
+#include <span>
 #include <vector>
 
 #include "src/common/vec3.hpp"
@@ -20,26 +21,29 @@
 namespace apr::fem {
 
 /// Total surface area and its per-vertex gradient accumulated into `grad`.
-double surface_area_with_gradient(const std::vector<Vec3>& x,
+double surface_area_with_gradient(std::span<const Vec3> x,
                                   const std::vector<mesh::Triangle>& tris,
                                   std::vector<Vec3>* grad);
 
 /// Signed enclosed volume and its per-vertex gradient accumulated into
 /// `grad`.
-double volume_with_gradient(const std::vector<Vec3>& x,
+double volume_with_gradient(std::span<const Vec3> x,
                             const std::vector<mesh::Triangle>& tris,
                             std::vector<Vec3>* grad);
 
 /// Accumulate the global-area penalty force -ka (A - A0)/A0 * grad A.
+/// The gradient goes through a per-thread buffer that is reused across
+/// calls, so the per-cell force assembly does not allocate.
 void add_area_constraint_forces(double ka, double ref_area,
-                                const std::vector<Vec3>& x,
+                                std::span<const Vec3> x,
                                 const std::vector<mesh::Triangle>& tris,
-                                std::vector<Vec3>& forces);
+                                std::span<Vec3> forces);
 
-/// Accumulate the volume penalty force -kv (V - V0)/V0 * grad V.
+/// Accumulate the volume penalty force -kv (V - V0)/V0 * grad V (same
+/// reused gradient buffer).
 void add_volume_constraint_forces(double kv, double ref_volume,
-                                  const std::vector<Vec3>& x,
+                                  std::span<const Vec3> x,
                                   const std::vector<mesh::Triangle>& tris,
-                                  std::vector<Vec3>& forces);
+                                  std::span<Vec3> forces);
 
 }  // namespace apr::fem

@@ -36,8 +36,8 @@ MembraneModel::MembraneModel(mesh::TriMesh reference, MembraneParams params)
   }
 }
 
-void MembraneModel::add_forces(const std::vector<Vec3>& x,
-                               std::vector<Vec3>& forces) const {
+void MembraneModel::add_forces(std::span<const Vec3> x,
+                               std::span<Vec3> forces) const {
   if (x.size() != ref_.vertices.size() || forces.size() != x.size()) {
     throw std::invalid_argument("MembraneModel::add_forces: size mismatch");
   }

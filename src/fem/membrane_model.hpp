@@ -9,6 +9,7 @@
 /// just the vertex positions -- the 51 kB/RBC budget of paper §3.6.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/fem/bending.hpp"
@@ -56,8 +57,9 @@ class MembraneModel {
 
   /// Accumulate all membrane forces (Skalak + bending + constraints) for a
   /// deformed configuration `x` into `forces` (must be sized and typically
-  /// zeroed by the caller).
-  void add_forces(const std::vector<Vec3>& x, std::vector<Vec3>& forces) const;
+  /// zeroed by the caller). Both may be a cell's slice of a CellPool, so
+  /// the FSI loop assembles straight into the pool's force buffer.
+  void add_forces(std::span<const Vec3> x, std::span<Vec3> forces) const;
 
   /// Energy breakdown for configuration `x`.
   MembraneEnergy energy(const std::vector<Vec3>& x) const;

@@ -38,11 +38,13 @@ double delta_support(DeltaKernel kernel) {
 
 int delta_weights(DeltaKernel kernel, double x, int* first,
                   std::array<double, 4>& w) {
-  // A non-finite lattice coordinate (a cell poisoned by an upstream fault)
-  // must not reach the int casts below -- that is UB, not a soft failure.
-  // Report an empty support instead; the health watchdog localizes the
-  // bad vertex on its next scan.
-  if (!std::isfinite(x)) {
+  // A non-finite or absurdly large lattice coordinate (a cell poisoned by
+  // an upstream fault) must not reach the int casts below -- that is UB,
+  // not a soft failure. Report an empty support instead; the health
+  // watchdog localizes the bad vertex on its next scan. 2^30 nodes is far
+  // beyond any lattice axis, and keeps first + 3 inside int range.
+  constexpr double kMaxCoord = 1 << 30;
+  if (!(std::abs(x) < kMaxCoord)) {
     *first = 0;
     return 0;
   }

@@ -24,7 +24,8 @@ double delta_support(DeltaKernel kernel);
 
 /// Evaluate the 1D weights over the integer support around coordinate x.
 /// Writes the first node index to `first` and up to 4 weights; returns the
-/// number of support nodes.
+/// number of support nodes. A non-finite x or |x| >= 2^30 (outside any
+/// lattice, and near the int range) yields an empty support.
 int delta_weights(DeltaKernel kernel, double x, int* first,
                   std::array<double, 4>& w);
 

@@ -355,6 +355,17 @@ class Lattice {
   /// Whether node i's tile is resident (vacant nodes read shared defaults).
   bool node_resident(std::size_t i) const { return addr(i) >= kTileNodes; }
 
+  // --- storage-address access (the IBM stencil kernels) --------------------
+  /// Storage address of the in-bounds node (x, y, z): tile slot *
+  /// kTileNodes + cell, resolved through the block directory without a
+  /// division. The caller bounds-checks (x, y, z) first. Vacant nodes
+  /// resolve into the shared exterior tile (a < kTileNodes).
+  std::size_t storage_addr(int x, int y, int z) const { return addr(x, y, z); }
+  NodeType type_at(std::size_t a) const { return type_[a]; }
+  const Vec3& velocity_at(std::size_t a) const { return u_[a]; }
+  /// Accumulate a force at a resident storage address (a >= kTileNodes).
+  void add_force_at(std::size_t a, const Vec3& f) { force_[a] += f; }
+
   /// Disable (or re-enable) the release of tiles emptied by set_type();
   /// with auto-release off and materialize_all() the lattice behaves as a
   /// dense reference layout (used by the tiled-vs-dense digest tests and

@@ -116,5 +116,25 @@ TEST(Peskin3, ContinuousAtTheBreakpoint) {
   EXPECT_NEAR(below, above, 1e-6);
 }
 
+TEST(DeltaWeights, HugeOrNonFiniteCoordinateGivesEmptySupport) {
+  // Finite but far outside int range: the support bounds must not reach
+  // the int casts (UB, flagged by -fsanitize=float-cast-overflow).
+  for (const DeltaKernel k : kKernels) {
+    for (const double x :
+         {1e300, -1e300, 0x1p31, -0x1p31, HUGE_VAL, std::nan("")}) {
+      std::array<double, 4> w{};
+      int first = -7;
+      EXPECT_EQ(delta_weights(k, x, &first, w), 0) << x;
+      EXPECT_EQ(first, 0) << x;
+    }
+    // Just inside the guard the support is still evaluated.
+    std::array<double, 4> w{};
+    int first = 0;
+    EXPECT_GT(delta_weights(k, 1e8 + 0.25, &first, w), 0);
+    EXPECT_EQ(first, static_cast<int>(std::ceil(1e8 + 0.25 -
+                                                delta_support(k))));
+  }
+}
+
 }  // namespace
 }  // namespace apr::ibm

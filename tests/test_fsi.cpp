@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/apr/simulation.hpp"
 #include "src/mesh/icosphere.hpp"
@@ -85,6 +88,76 @@ TEST(ComputeCellForces, ContactPushesNeighborsApart) {
   EXPECT_LT(f1.x, 0.0);
   EXPECT_GT(f2.x, 0.0);
   EXPECT_NEAR(norm(f1 + f2), 0.0, 1e-9 * norm(f1));
+}
+
+std::vector<Vec3> all_forces(const cells::CellPool& pool) {
+  std::vector<Vec3> out;
+  for (std::size_t s = 0; s < pool.size(); ++s) {
+    const auto f = pool.forces(s);
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  return out;
+}
+
+void expect_bit_identical(const std::vector<Vec3>& a,
+                          const std::vector<Vec3>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t v = 0; v < a.size(); ++v) {
+    ASSERT_EQ(a[v].x, b[v].x) << "vertex " << v;
+    ASSERT_EQ(a[v].y, b[v].y) << "vertex " << v;
+    ASSERT_EQ(a[v].z, b[v].z) << "vertex " << v;
+  }
+}
+
+TEST(ComputeCellForces, ReusedContactGridIsBitIdenticalToAFreshOne) {
+  auto model = si_rbc();
+  cells::CellPool pool(model.get(), cells::CellKind::Rbc, 4);
+  pool.add(1, cells::instantiate(*model, Vec3{0, 0, 0}));
+  pool.add(2, cells::instantiate(*model, Vec3{2.1e-6, 0.3e-6, 0}));
+  pool.add(3, cells::instantiate(*model, Vec3{1.0e-6, 2.4e-6, 0.2e-6}));
+  // A spread-out population that re-dimensions the contact grid.
+  cells::CellPool far(model.get(), cells::CellKind::Rbc, 4);
+  far.add(7, cells::instantiate(*model, Vec3{-30e-6, 5e-6, 0}));
+  far.add(8, cells::instantiate(*model, Vec3{40e-6, -20e-6, 9e-6}));
+  FsiParams fsi;
+  fsi.contact_cutoff = 0.5e-6;
+  fsi.contact_strength = 1e-12;
+
+  // The contact grid is per calling thread: a new thread starts with none.
+  std::vector<Vec3> fresh, reused;
+  std::thread([&] {
+    compute_cell_forces({&pool}, nullptr, fsi);
+    fresh = all_forces(pool);
+    compute_cell_forces({&far}, nullptr, fsi);
+    compute_cell_forces({&pool}, nullptr, fsi);
+    reused = all_forces(pool);
+  }).join();
+  expect_bit_identical(fresh, reused);
+}
+
+TEST(ComputeCellForces, InPlaceMembraneAssemblyMatchesZeroedCopy) {
+  auto model = si_rbc();
+  cells::CellPool pool(model.get(), cells::CellKind::Rbc, 4);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    auto verts = cells::instantiate(
+        *model, Vec3{6e-6 * static_cast<double>(id), 0, 0});
+    // Distinct deformations so every force term is live.
+    for (std::size_t v = 0; v < verts.size(); ++v) {
+      verts[v].x *= 1.0 + 0.05 * static_cast<double>(id);
+      verts[v].z += 1e-8 * std::sin(static_cast<double>(v));
+    }
+    pool.add(id, verts);
+  }
+  compute_cell_forces({&pool}, nullptr, FsiParams{});
+  std::vector<Vec3> expected;
+  for (std::size_t s = 0; s < pool.size(); ++s) {
+    const auto xs = pool.positions(s);
+    const std::vector<Vec3> x(xs.begin(), xs.end());
+    std::vector<Vec3> f(x.size(), Vec3{});
+    model->add_forces(x, f);
+    expected.insert(expected.end(), f.begin(), f.end());
+  }
+  expect_bit_identical(all_forces(pool), expected);
 }
 
 TEST(SpreadCellForces, ConvertsAndConservesTotalForce) {

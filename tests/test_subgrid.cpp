@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "src/common/rng.hpp"
 
@@ -90,6 +93,125 @@ TEST(SubGrid, VertexIndexRoundTrips) {
     EXPECT_EQ(e.cell_id, 42u);
     EXPECT_EQ(e.vertex, 17);
   });
+}
+
+TEST(SubGrid, OutOfIntRangeCoordinatesClampToEdgeBuckets) {
+  // Finite but huge coordinates must clamp in floating point, never reach
+  // an int cast (UB; -fsanitize=float-cast-overflow flags it).
+  SubGrid g(Aabb({0, 0, 0}, {4, 4, 4}), 1.0);
+  g.insert({1e300, 2.0, 2.0}, 1, 0);
+  g.insert({-1e300, 2.0, 2.0}, 2, 0);
+  g.insert({2.0, 1e300, -1e300}, 3, 0);
+  EXPECT_EQ(g.size(), 3u);
+  const auto ids_near = [&](const Vec3& p) {
+    std::vector<std::uint64_t> ids;
+    g.for_neighbors(p, 0.1, [&](const SubGrid::Entry& e) {
+      ids.push_back(e.cell_id);
+    });
+    return ids;
+  };
+  EXPECT_EQ(ids_near({3.9, 2.0, 2.0}), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(ids_near({0.1, 2.0, 2.0}), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(ids_near({2.0, 3.9, 0.1}), std::vector<std::uint64_t>{3});
+  // Queries centred at huge coordinates clamp the same way.
+  EXPECT_EQ(ids_near({1e300, 2.0, 2.0}), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(ids_near({-1e300, 2.0, 2.0}), std::vector<std::uint64_t>{2});
+  // A box stretched to a huge coordinate fails cleanly.
+  EXPECT_THROW(SubGrid(Aabb({0, 0, 0}, {1e300, 1, 1}), 1.0),
+               std::invalid_argument);
+}
+
+/// Entries a query should visit, in the contracted order: buckets in
+/// (z, y, x) order, insertion order within a bucket.
+std::vector<int> expected_visits(const std::vector<Vec3>& pts, const Aabb& box,
+                                 double spacing, const Vec3& q, double r) {
+  const Vec3 e = box.extent();
+  const int n[3] = {static_cast<int>(std::ceil(e.x / spacing)),
+                    static_cast<int>(std::ceil(e.y / spacing)),
+                    static_cast<int>(std::ceil(e.z / spacing))};
+  const auto bucket = [&](double v, double lo, int axis) {
+    return std::clamp(static_cast<int>(std::floor((v - lo) / spacing)), 0,
+                      n[axis] - 1);
+  };
+  const auto key = [&](const Vec3& p) {
+    return (bucket(p.z, box.lo.z, 2) * n[1] + bucket(p.y, box.lo.y, 1)) *
+               n[0] +
+           bucket(p.x, box.lo.x, 0);
+  };
+  std::vector<int> out;
+  for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
+    const Vec3& p = pts[static_cast<std::size_t>(i)];
+    bool in = true;
+    for (int a = 0; a < 3; ++a) {
+      const double lo = box.lo[a];
+      const int b = bucket(p[a], lo, a);
+      in = in && b >= bucket(q[a] - r, lo, a) && b <= bucket(q[a] + r, lo, a);
+    }
+    if (in) out.push_back(i);
+  }
+  std::stable_sort(out.begin(), out.end(), [&](int a, int b) {
+    return key(pts[static_cast<std::size_t>(a)]) <
+           key(pts[static_cast<std::size_t>(b)]);
+  });
+  return out;
+}
+
+TEST(SubGrid, VisitsBucketsInZyxOrderAndEntriesInInsertionOrder) {
+  Rng rng(29);
+  const Aabb box({0, 0, 0}, {5, 4, 3});
+  const double spacing = 1.0;
+  SubGrid g(box, spacing);
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 400; ++i) {
+    pts.push_back(rng.point_in_box(box.lo, box.hi));
+    g.insert(pts.back(), static_cast<std::uint64_t>(i), i);
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    const Vec3 q = rng.point_in_box(box.lo, box.hi);
+    const double r = rng.uniform(0.1, 1.6);
+    std::vector<int> visited;
+    g.for_neighbors(q, r, [&](const SubGrid::Entry& e) {
+      visited.push_back(e.vertex);
+    });
+    EXPECT_EQ(visited, expected_visits(pts, box, spacing, q, r)) << trial;
+  }
+}
+
+TEST(SubGrid, ReusedGridVisitsExactlyWhatAFreshGridVisits) {
+  Rng rng(31);
+  const Aabb small({0, 0, 0}, {2, 2, 2});
+  const Aabb large({-3, -1, 0}, {6, 5, 4});
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 300; ++i) {
+    pts.push_back(rng.point_in_box(large.lo, large.hi));
+  }
+
+  // Dirty the reused grid at other dimensions first, then re-dimension it
+  // (smaller, then larger) to the fresh grid's arguments.
+  SubGrid reused(small, 0.25);
+  for (int i = 0; i < 50; ++i) reused.insert(pts[i], 999, i);
+  reused.reset(large, 2.0);
+  reused.insert({0, 0, 0}, 998, 0);
+  reused.reset(large, 0.7);
+  SubGrid fresh(large, 0.7);
+  for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
+    const auto id = static_cast<std::uint64_t>(i);
+    reused.insert(pts[id], id, i);
+    fresh.insert(pts[id], id, i);
+  }
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (int trial = 0; trial < 40; ++trial) {
+    const Vec3 q = rng.point_in_box(large.lo, large.hi);
+    const double r = rng.uniform(0.1, 2.0);
+    std::vector<std::uint64_t> a, b;
+    reused.for_neighbors(q, r, [&](const SubGrid::Entry& e) {
+      a.push_back(e.cell_id);
+    });
+    fresh.for_neighbors(q, r, [&](const SubGrid::Entry& e) {
+      b.push_back(e.cell_id);
+    });
+    EXPECT_EQ(a, b) << trial;
+  }
 }
 
 }  // namespace
