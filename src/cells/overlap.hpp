@@ -48,7 +48,8 @@ int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& background,
                        const Aabb& region, double min_distance,
                        CellPool& pool);
 
-/// Rebuild `grid` with every vertex of every cell in `pools`.
+/// Insert every vertex of every cell in `pools` into `grid`, which the
+/// caller has just constructed or reset() (fill_subgrid does not clear it).
 void fill_subgrid(SubGrid& grid,
                   const std::vector<const CellPool*>& pools);
 
