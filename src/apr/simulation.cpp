@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "src/cells/cell.hpp"
@@ -11,6 +12,7 @@
 #include "src/common/log.hpp"
 #include "src/exec/exec.hpp"
 #include "src/geometry/voxelizer.hpp"
+#include "src/ibm/coupling.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/proc_stats.hpp"
 #include "src/obs/trace.hpp"
@@ -33,6 +35,25 @@ std::vector<CellRef> flatten_cells(
     for (std::size_t s = 0; s < pool->size(); ++s) refs.push_back({pool, s});
   }
   return refs;
+}
+
+/// The FSI stencil record of the calling thread: spread_cell_forces
+/// builds it and the same sub-step's advect_cells reuses it. Workers
+/// reach it through references taken on the calling thread.
+ibm::StencilRecord& fsi_stencils() {
+  static thread_local ibm::StencilRecord stencils;
+  return stencils;
+}
+
+/// One span per pool, from `get`, in pool order: the vertex order of the
+/// FSI record.
+template <class T, class Get>
+std::vector<std::span<T>> pool_blocks(
+    const std::vector<cells::CellPool*>& pools, Get&& get) {
+  std::vector<std::span<T>> blocks;
+  blocks.reserve(pools.size());
+  for (cells::CellPool* pool : pools) blocks.emplace_back(get(*pool));
+  return blocks;
 }
 
 }  // namespace
@@ -104,53 +125,39 @@ void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
 void spread_cell_forces(lbm::Lattice& lat, const UnitConverter& conv,
                         const std::vector<cells::CellPool*>& pools,
                         ibm::DeltaKernel kernel) {
-  // Batch every vertex of every cell into one scatter so the parallel
-  // spreading kernel sees the whole workload at once instead of one
-  // small call per cell.
-  static thread_local std::vector<Vec3> xs;
-  static thread_local std::vector<Vec3> fs;
-  const double scale = conv.force_to_lattice(1.0);
-  xs.clear();
-  fs.clear();
-  for (cells::CellPool* pool : pools) {
-    for (std::size_t s = 0; s < pool->size(); ++s) {
-      const auto x = pool->positions(s);
-      const auto f = pool->forces(s);
-      xs.insert(xs.end(), x.begin(), x.end());
-      for (std::size_t v = 0; v < f.size(); ++v) fs.push_back(f[v] * scale);
-    }
-  }
-  ibm::spread_forces(lat, xs, fs, kernel);
+  // Every vertex of every pool goes into one record and one scatter, so
+  // the parallel spreading kernel sees the whole workload at once.
+  ibm::StencilRecord& stencils = fsi_stencils();
+  const auto xs = pool_blocks<const Vec3>(
+      pools, [](cells::CellPool& p) { return p.live_positions(); });
+  const auto fs = pool_blocks<const Vec3>(
+      pools, [](cells::CellPool& p) { return p.live_forces(); });
+  stencils.build(lat, xs, kernel);
+  ibm::spread_forces(lat, stencils, fs, conv.force_to_lattice(1.0));
 }
 
 void advect_cells(const lbm::Lattice& lat,
                   const std::vector<cells::CellPool*>& pools,
                   ibm::DeltaKernel kernel) {
-  // Batch all vertices for one parallel interpolation sweep, then write
-  // velocities/positions back per cell in parallel.
-  static thread_local std::vector<Vec3> xs;
-  static thread_local std::vector<Vec3> us;
+  // Positions have not moved since this sub-step's spread, so its
+  // stencils serve the interpolation too; any other caller (a different
+  // lattice, kernel or vertex set) gets a fresh record.
+  ibm::StencilRecord& stencils = fsi_stencils();
+  const auto xs = pool_blocks<const Vec3>(
+      pools, [](cells::CellPool& p) { return p.live_positions(); });
+  if (!stencils.matches(lat, xs, kernel)) stencils.build(lat, xs, kernel);
+  ibm::interpolate_velocities(
+      lat, stencils,
+      pool_blocks<Vec3>(
+          pools, [](cells::CellPool& p) { return p.live_velocities(); }));
+  // The position update runs as its own loop after the gather (fusing
+  // the two lets the compiler contract differently; DESIGN.md §6).
   const std::vector<CellRef> refs = flatten_cells(pools);
-  std::vector<std::size_t> offset(refs.size() + 1, 0);
-  xs.clear();
-  for (std::size_t k = 0; k < refs.size(); ++k) {
-    const auto x = refs[k].pool->positions(refs[k].slot);
-    xs.insert(xs.end(), x.begin(), x.end());
-    offset[k + 1] = xs.size();
-  }
-  ibm::interpolate_velocities(lat, xs, us, kernel);
   const double dx = lat.dx();
-  // Plain pointer so workers read this thread's buffer, not their own
-  // thread_local instance.
-  const Vec3* const u = us.data();
-  exec::parallel_for(refs.size(), [&, u](std::size_t k) {
+  exec::parallel_for(refs.size(), [&](std::size_t k) {
     const auto x = refs[k].pool->positions(refs[k].slot);
-    const auto vel = refs[k].pool->velocities(refs[k].slot);
-    const std::size_t base = offset[k];
-    for (std::size_t v = 0; v < x.size(); ++v) {
-      vel[v] = u[base + v];
-      x[v] += u[base + v] * dx;
-    }
+    const auto u = refs[k].pool->velocities(refs[k].slot);
+    for (std::size_t v = 0; v < x.size(); ++v) x[v] += u[v] * dx;
   });
 }
 

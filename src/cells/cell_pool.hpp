@@ -56,6 +56,14 @@ class CellPool {
   std::span<Vec3> velocities(std::size_t slot);
   std::span<const Vec3> velocities(std::size_t slot) const;
 
+  /// Every live cell's vertices at once (the contiguous live prefix,
+  /// slot-major).
+  std::span<Vec3> live_positions() { return {x_.data(), live_vertices()}; }
+  std::span<const Vec3> live_forces() const {
+    return {f_.data(), live_vertices()};
+  }
+  std::span<Vec3> live_velocities() { return {v_.data(), live_vertices()}; }
+
   /// Zero all per-vertex forces (start of an FSI step).
   void clear_forces();
 
@@ -67,6 +75,10 @@ class CellPool {
   std::uint64_t shift_count() const { return shifts_; }
 
  private:
+  std::size_t live_vertices() const {
+    return count_ * static_cast<std::size_t>(nv_);
+  }
+
   const fem::MembraneModel* model_;
   CellKind kind_;
   std::size_t capacity_;

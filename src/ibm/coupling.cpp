@@ -1,50 +1,121 @@
 #include "src/ibm/coupling.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <new>
+#include <stdexcept>
+#include <string>
+
+#include <sys/mman.h>
 
 #include "src/exec/exec.hpp"
 #include "src/obs/trace.hpp"
 
 namespace apr::ibm {
 
+namespace detail {
+
+void* map_pages(std::size_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void unmap_pages(void* p, std::size_t bytes) { munmap(p, bytes); }
+
+}  // namespace detail
+
 namespace {
 
-struct Support {
-  int fx = 0, fy = 0, fz = 0;          // first node index per axis
-  int nx = 0, ny = 0, nz = 0;          // support counts
-  std::array<double, 4> wx{}, wy{}, wz{};
-};
-
-Support build_support(const lbm::Lattice& lat, const Vec3& p,
-                      DeltaKernel kernel) {
+Stencil make_stencil(const lbm::Lattice& lat, const Vec3& p,
+                     DeltaKernel kernel) {
   const Vec3 lc = lat.to_lattice(p);
-  Support s;
-  s.nx = delta_weights(kernel, lc.x, &s.fx, s.wx);
-  s.ny = delta_weights(kernel, lc.y, &s.fy, s.wy);
-  s.nz = delta_weights(kernel, lc.z, &s.fz, s.wz);
+  Stencil s{};
+  for (int a = 0; a < 3; ++a) {
+    s.count[a] = static_cast<std::uint8_t>(
+        delta_weights(kernel, lc[a], &s.first[a], s.w[a]));
+  }
   return s;
 }
 
-/// Visit the in-lattice nodes of a stencil in (kz, ky, kx) order as
-/// fn(x, y, z, weight wx * (wy * wz)). Every kernel sums in this order,
-/// which keeps results bit-identical to a dense idx() loop (pinned by
+/// Visit the in-lattice rows of a stencil in (kz, ky) order as
+/// fn(y, z, wyz, kx_begin, kx_end): [kx_begin, kx_end) are the in-lattice
+/// x offsets and wyz = w[1][ky] * w[2][kz]. Every kernel steps kx upward
+/// with node weight w[0][kx] * wyz, the order and products of a dense
+/// idx() loop, which keeps results bit-identical to it (pinned by
 /// tests/test_ibm.cpp).
 template <class Fn>
-void for_stencil(const lbm::Lattice& lat, const Support& s, Fn&& fn) {
-  for (int kz = 0; kz < s.nz; ++kz) {
-    const int z = s.fz + kz;
+void for_rows(const lbm::Lattice& lat, const Stencil& s, Fn&& fn) {
+  const int kx0 = std::max(0, -s.first[0]);
+  const int kx1 = std::min(static_cast<int>(s.count[0]),
+                           lat.nx() - s.first[0]);
+  if (kx0 >= kx1) return;
+  for (int kz = 0; kz < s.count[2]; ++kz) {
+    const int z = s.first[2] + kz;
     if (z < 0 || z >= lat.nz()) continue;
-    for (int ky = 0; ky < s.ny; ++ky) {
-      const int y = s.fy + ky;
+    for (int ky = 0; ky < s.count[1]; ++ky) {
+      const int y = s.first[1] + ky;
       if (y < 0 || y >= lat.ny()) continue;
-      const double wyz = s.wy[ky] * s.wz[kz];
-      for (int kx = 0; kx < s.nx; ++kx) {
-        const int x = s.fx + kx;
-        if (x < 0 || x >= lat.nx()) continue;
-        fn(x, y, z, s.wx[kx] * wyz);
-      }
+      fn(y, z, s.w[1][ky] * s.w[2][kz], kx0, kx1);
     }
+  }
+}
+
+/// Visit the in-lattice stencil nodes as fn(storage address, weight).
+/// Storage addresses run consecutively along x inside a tile, so a row
+/// resolves its address through the block directory at its first node and
+/// where it crosses into the next tile, and steps by one in between.
+template <class Fn>
+void for_stencil_addrs(const lbm::Lattice& lat, const Stencil& s, Fn&& fn) {
+  for_rows(lat, s, [&](int y, int z, double wyz, int kx0, int kx1) {
+    std::size_t a = 0;
+    for (int kx = kx0; kx < kx1; ++kx) {
+      const int x = s.first[0] + kx;
+      a = kx == kx0 || (x & (lbm::Lattice::kTileSide - 1)) == 0
+              ? lat.storage_addr(x, y, z)
+              : a + 1;
+      fn(a, s.w[0][kx] * wyz);
+    }
+  });
+}
+
+Vec3 gather(const lbm::Lattice& lat, const Stencil& s) {
+  Vec3 u{};
+  for_stencil_addrs(lat, s, [&](std::size_t a, double w) {
+    u += lat.velocity_at(a) * w;
+  });
+  return u;
+}
+
+std::size_t total_size(auto blocks) {
+  std::size_t n = 0;
+  for (const auto& b : blocks) n += b.size();
+  return n;
+}
+
+/// Split the vertices [b, e) of `blocks` at block boundaries and call
+/// fn(v, part) for each piece: part[i] is the value of vertex v + i.
+template <class T, class Fn>
+void for_block_parts(Blocks<T> blocks, std::size_t b, std::size_t e,
+                     Fn&& fn) {
+  std::size_t base = 0;
+  for (const std::span<T>& blk : blocks) {
+    const std::size_t end = base + blk.size();
+    const std::size_t lo = std::max(b, base), hi = std::min(e, end);
+    if (lo < hi) fn(lo, blk.subspan(lo - base, hi - lo));
+    if (end >= e) return;
+    base = end;
+  }
+}
+
+void check_sizes(const StencilRecord& stencils, auto blocks,
+                 const char* what) {
+  if (total_size(blocks) != stencils.size()) {
+    throw std::invalid_argument(std::string(what) +
+                                ": vertex count differs from the stencils");
   }
 }
 
@@ -135,47 +206,92 @@ constexpr std::size_t kParallelSpreadMinVertices = 512;
 
 }  // namespace
 
-void interpolate_velocities(const lbm::Lattice& lat,
-                            const std::vector<Vec3>& positions,
-                            std::vector<Vec3>& velocities,
-                            DeltaKernel kernel) {
-  OBS_SPAN("ibm", "interpolate_velocities");
-  velocities.resize(positions.size());
-  exec::parallel_for(positions.size(), [&](std::size_t vi) {
-    Vec3 u{};
-    for_stencil(lat, build_support(lat, positions[vi], kernel),
-                [&](int x, int y, int z, double w) {
-                  u += lat.velocity_at(lat.storage_addr(x, y, z)) * w;
-                });
-    velocities[vi] = u;
+void StencilRecord::build(const lbm::Lattice& lat,
+                          Blocks<const Vec3> positions, DeltaKernel kernel) {
+  OBS_SPAN("ibm", "build_stencils");
+  const std::size_t n = total_size(positions);
+  stencils_.resize(n);
+  positions_.clear();
+  for (const std::span<const Vec3>& blk : positions) {
+    positions_.insert(positions_.end(), blk.begin(), blk.end());
+  }
+  origin_ = lat.origin();
+  dx_ = lat.dx();
+  kernel_ = kernel;
+  built_ = true;
+  Stencil* const out = stencils_.data();
+  const Vec3* const at = positions_.data();
+  exec::parallel_for(n, [&, out, at](std::size_t v) {
+    out[v] = make_stencil(lat, at[v], kernel);
   });
 }
 
-void spread_forces_serial(lbm::Lattice& lat,
-                          const std::vector<Vec3>& positions,
-                          const std::vector<Vec3>& forces,
-                          DeltaKernel kernel) {
-  for (std::size_t vi = 0; vi < positions.size(); ++vi) {
-    const Vec3 g = forces[vi];
-    for_stencil(lat, build_support(lat, positions[vi], kernel),
-                [&](int x, int y, int z, double w) {
-                  const std::size_t a = lat.storage_addr(x, y, z);
-                  if (receives_force(lat.type_at(a))) {
-                    lat.add_force_at(a, g * w);
-                  }
-                });
+bool StencilRecord::matches(const lbm::Lattice& lat,
+                            Blocks<const Vec3> positions,
+                            DeltaKernel kernel) const {
+  const auto same = [](const void* a, const void* b, std::size_t bytes) {
+    return std::memcmp(a, b, bytes) == 0;
+  };
+  const double dx = lat.dx();
+  if (!built_ || kernel != kernel_ ||
+      !same(&lat.origin(), &origin_, sizeof(Vec3)) ||
+      !same(&dx, &dx_, sizeof(double)) ||
+      total_size(positions) != positions_.size()) {
+    return false;
   }
+  const Vec3* at = positions_.data();
+  for (const std::span<const Vec3>& blk : positions) {
+    if (!blk.empty() && !same(blk.data(), at, blk.size_bytes())) {
+      return false;
+    }
+    at += blk.size();
+  }
+  return true;
 }
 
-void spread_forces(lbm::Lattice& lat, const std::vector<Vec3>& positions,
-                   const std::vector<Vec3>& forces, DeltaKernel kernel) {
+void interpolate_velocities(const lbm::Lattice& lat,
+                            const StencilRecord& stencils,
+                            Blocks<Vec3> velocities) {
+  OBS_SPAN("ibm", "interpolate_velocities");
+  check_sizes(stencils, velocities, "interpolate_velocities");
+  exec::parallel_for_chunks(
+      stencils.size(), [&](std::size_t b, std::size_t e, int) {
+        for_block_parts(velocities, b, e, [&](std::size_t v,
+                                              std::span<Vec3> u) {
+          for (std::size_t i = 0; i < u.size(); ++i) {
+            u[i] = gather(lat, stencils[v + i]);
+          }
+        });
+      });
+}
+
+void spread_forces_serial(lbm::Lattice& lat, const StencilRecord& stencils,
+                          Blocks<const Vec3> forces, double scale) {
+  check_sizes(stencils, forces, "spread_forces_serial");
+  for_block_parts(forces, 0, stencils.size(),
+                  [&](std::size_t v, std::span<const Vec3> f) {
+                    for (std::size_t i = 0; i < f.size(); ++i) {
+                      const Vec3 g = f[i] * scale;
+                      for_stencil_addrs(
+                          lat, stencils[v + i], [&](std::size_t a, double w) {
+                            if (receives_force(lat.type_at(a))) {
+                              lat.add_force_at(a, g * w);
+                            }
+                          });
+                    }
+                  });
+}
+
+void spread_forces(lbm::Lattice& lat, const StencilRecord& stencils,
+                   Blocks<const Vec3> forces, double scale) {
   OBS_SPAN("ibm", "spread_forces");
-  const std::size_t nv = positions.size();
+  const std::size_t nv = stencils.size();
   if (!exec::threaded() || exec::num_workers() == 1 ||
       nv < kParallelSpreadMinVertices) {
-    spread_forces_serial(lat, positions, forces, kernel);
+    spread_forces_serial(lat, stencils, forces, scale);
     return;
   }
+  check_sizes(stencils, forces, "spread_forces");
 
   // Scatter into per-worker brick accumulators, then merge per node in a
   // deterministic order (ascending worker slot). Workers accumulate at
@@ -199,17 +315,28 @@ void spread_forces(lbm::Lattice& lat, const std::vector<Vec3>& positions,
                                           int w) {
     SpreadScratch& s = (*pool)[static_cast<std::size_t>(w)];
     s.prepare(grid.size());
-    for (std::size_t vi = b; vi < e; ++vi) {
-      const Vec3 g = forces[vi];
-      for_stencil(lat, build_support(lat, positions[vi], kernel),
-                  [&](int x, int y, int z, double wt) {
-                    Vec3& d = s.brick(grid.key(x, y, z))[grid.offset(x, y, z)];
-                    // Form g * wt only once the slot is resolved, so the
-                    // multiply and the add stay one expression, as in the
-                    // serial path (the compiler may fuse them).
-                    d += g * wt;
-                  });
-    }
+    for_block_parts(forces, b, e, [&](std::size_t v,
+                                      std::span<const Vec3> f) {
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        const Vec3 g = f[i] * scale;
+        const Stencil& st = stencils[v + i];
+        // A row crosses into the next brick where x is a multiple of 4;
+        // in between, its accumulator slots are consecutive.
+        for_rows(lat, st, [&](int y, int z, double wyz, int kx0, int kx1) {
+          Vec3* d = nullptr;
+          for (int kx = kx0; kx < kx1; ++kx) {
+            const int x = st.first[0] + kx;
+            d = kx == kx0 || (x & kBrickMask) == 0
+                    ? &s.brick(grid.key(x, y, z))[grid.offset(x, y, z)]
+                    : d + 1;
+            // Form the node's g * weight only once its slot is resolved,
+            // so the multiply and the add stay one expression, as in the
+            // serial path (the compiler may fuse them).
+            *d += g * (st.w[0][kx] * wyz);
+          }
+        });
+      }
+    });
   });
 
   // Every brick some worker touched, listed once.
@@ -253,19 +380,47 @@ void spread_forces(lbm::Lattice& lat, const std::vector<Vec3>& positions,
   }
 }
 
-void update_positions(const lbm::Lattice& lat, std::vector<Vec3>& positions,
-                      const std::vector<Vec3>& lattice_velocities) {
-  const double dx = lat.dx();
-  exec::parallel_for(positions.size(), [&](std::size_t vi) {
-    positions[vi] += lattice_velocities[vi] * dx;
-  });
+namespace {
+
+StencilRecord record_of(const lbm::Lattice& lat,
+                        const std::vector<Vec3>& positions,
+                        DeltaKernel kernel) {
+  StencilRecord r;
+  const std::span<const Vec3> x(positions);
+  r.build(lat, {&x, 1}, kernel);
+  return r;
+}
+
+}  // namespace
+
+void interpolate_velocities(const lbm::Lattice& lat,
+                            const std::vector<Vec3>& positions,
+                            std::vector<Vec3>& velocities,
+                            DeltaKernel kernel) {
+  velocities.resize(positions.size());
+  const std::span<Vec3> u(velocities);
+  interpolate_velocities(lat, record_of(lat, positions, kernel), {&u, 1});
+}
+
+void spread_forces(lbm::Lattice& lat, const std::vector<Vec3>& positions,
+                   const std::vector<Vec3>& forces, DeltaKernel kernel) {
+  const std::span<const Vec3> f(forces);
+  spread_forces(lat, record_of(lat, positions, kernel), {&f, 1});
+}
+
+void spread_forces_serial(lbm::Lattice& lat,
+                          const std::vector<Vec3>& positions,
+                          const std::vector<Vec3>& forces,
+                          DeltaKernel kernel) {
+  const std::span<const Vec3> f(forces);
+  spread_forces_serial(lat, record_of(lat, positions, kernel), {&f, 1});
 }
 
 double kernel_weight_sum(const lbm::Lattice& lat, const Vec3& position,
                          DeltaKernel kernel) {
   double sum = 0.0;
-  for_stencil(lat, build_support(lat, position, kernel),
-              [&](int, int, int, double w) { sum += w; });
+  for_stencil_addrs(lat, make_stencil(lat, position, kernel),
+                    [&](std::size_t, double w) { sum += w; });
   return sum;
 }
 

@@ -34,21 +34,41 @@ std::string tag_name(std::uint32_t tag) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t crc) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: t[0] is the bytewise table; t[k][b] is the CRC of byte
+  // b followed by k zero bytes, so one step folds eight input bytes.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
   const auto* p = static_cast<const unsigned char*>(data);
+  const auto le32 = [](const unsigned char* q) {
+    return static_cast<std::uint32_t>(q[0]) |
+           static_cast<std::uint32_t>(q[1]) << 8 |
+           static_cast<std::uint32_t>(q[2]) << 16 |
+           static_cast<std::uint32_t>(q[3]) << 24;
+  };
   crc = ~crc;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ le32(p);
+    const std::uint32_t hi = le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -231,6 +232,131 @@ TEST(AdvectCells, RigidBodyInLinearShearRotatesNotTranslates) {
     if (x[k].y < -0.3e-6) {
       EXPECT_LT(v[k].x, 0.0);
     }
+  }
+}
+
+/// A nonuniform lattice velocity field for the stencil-record tests.
+void fill_velocity(lbm::Lattice& lat) {
+  for (int z = 0; z < lat.nz(); ++z) {
+    for (int y = 0; y < lat.ny(); ++y) {
+      for (int x = 0; x < lat.nx(); ++x) {
+        lat.mutable_velocity(lat.idx(x, y, z)) =
+            Vec3{0.01 * std::sin(0.4 * y + 0.1 * z), 0.02 * std::cos(0.3 * x),
+                 0.005 * std::sin(0.5 * x + 0.2 * y)};
+      }
+    }
+  }
+}
+
+/// The FSI state of the stencil-record tests: a 16^3 lattice and two
+/// pools (three RBCs, one more cell), so the record spans two blocks.
+struct AdvectFixture {
+  std::unique_ptr<fem::MembraneModel> model = si_rbc();
+  lbm::Lattice lat{16, 16, 16, Vec3{-8e-6, -8e-6, -8e-6}, 1e-6, 1.0};
+  cells::CellPool rbcs{model.get(), cells::CellKind::Rbc, 8};
+  cells::CellPool other{model.get(), cells::CellKind::Ctc, 4};
+
+  AdvectFixture() {
+    fill_velocity(lat);
+    rbcs.add(1, cells::instantiate(*model, Vec3{-2e-6, 0.3e-6, 0.1e-6}));
+    rbcs.add(2, cells::instantiate(*model, Vec3{1.5e-6, -1e-6, 0.7e-6}));
+    rbcs.add(3, cells::instantiate(*model, Vec3{0.2e-6, 2.2e-6, -1.9e-6}));
+    other.add(9, cells::instantiate(*model, Vec3{2.9e-6, 2.5e-6, 2.1e-6}));
+  }
+  std::vector<cells::CellPool*> pools() { return {&rbcs, &other}; }
+  void spread() {
+    const UnitConverter conv =
+        UnitConverter::from_viscosity(1e-6, 1.2e-3 / 1060.0, 1.0, 1060.0);
+    for (cells::CellPool* pool : pools()) {
+      for (std::size_t s = 0; s < pool->size(); ++s) {
+        for (Vec3& f : pool->forces(s)) f = Vec3{1e-13, -2e-13, 5e-14};
+      }
+    }
+    lat.clear_forces();
+    spread_cell_forces(lat, conv, pools(), ibm::DeltaKernel::Cosine4);
+  }
+  /// Every vertex position, then every cached velocity, in pool order.
+  std::vector<Vec3> state() {
+    std::vector<Vec3> out;
+    for (cells::CellPool* pool : pools()) {
+      for (std::size_t s = 0; s < pool->size(); ++s) {
+        const auto x = pool->positions(s);
+        out.insert(out.end(), x.begin(), x.end());
+      }
+    }
+    for (cells::CellPool* pool : pools()) {
+      for (std::size_t s = 0; s < pool->size(); ++s) {
+        const auto v = pool->velocities(s);
+        out.insert(out.end(), v.begin(), v.end());
+      }
+    }
+    return out;
+  }
+};
+
+/// advect_cells on a thread that has built no stencil record yet: the
+/// fresh path a reused or rebuilt record must reproduce.
+void fresh_advect(AdvectFixture& fx, ibm::DeltaKernel kernel) {
+  std::thread([&] { advect_cells(fx.lat, fx.pools(), kernel); }).join();
+}
+
+TEST(AdvectCells, StaleStencilRecordIsRebuilt) {
+  // Between a spread and its advect, anything the record was built from
+  // may change; advect_cells must then match the fresh path bit for bit.
+  using Change = std::function<void(AdvectFixture&, ibm::DeltaKernel&)>;
+  const std::vector<std::pair<const char*, Change>> changes = {
+      {"nothing", [](AdvectFixture&, ibm::DeltaKernel&) {}},
+      {"one vertex moved",
+       [](AdvectFixture& fx, ibm::DeltaKernel&) {
+         fx.rbcs.positions(1)[7].x += 0.05e-6;
+       }},
+      {"lattice origin moved",
+       [](AdvectFixture& fx, ibm::DeltaKernel&) {
+         fx.lat.set_origin(fx.lat.origin() + Vec3{0.3e-6, 0.0, 0.0});
+       }},
+      {"lattice spacing changed",
+       [](AdvectFixture& fx, ibm::DeltaKernel&) {
+         fx.lat = lbm::Lattice(16, 16, 16, fx.lat.origin(), 0.8e-6, 1.0);
+         fill_velocity(fx.lat);
+       }},
+      {"cell added",
+       [](AdvectFixture& fx, ibm::DeltaKernel&) {
+         fx.other.add(10, cells::instantiate(*fx.model,
+                                             Vec3{-3e-6, -2.5e-6, 2e-6}));
+       }},
+      {"cell removed",
+       [](AdvectFixture& fx, ibm::DeltaKernel&) { fx.rbcs.remove(1); }},
+      {"kernel changed",
+       [](AdvectFixture&, ibm::DeltaKernel& kernel) {
+         kernel = ibm::DeltaKernel::Peskin3;
+       }},
+  };
+  for (const auto& [name, change] : changes) {
+    SCOPED_TRACE(name);
+    AdvectFixture fx;
+    auto kernel = ibm::DeltaKernel::Cosine4;
+    fx.spread();
+    change(fx, kernel);
+    advect_cells(fx.lat, fx.pools(), kernel);
+
+    AdvectFixture ref;
+    auto ref_kernel = ibm::DeltaKernel::Cosine4;
+    change(ref, ref_kernel);
+    fresh_advect(ref, ref_kernel);
+    expect_bit_identical(fx.state(), ref.state());
+  }
+}
+
+TEST(AdvectCells, RepeatedAdvectsAfterOneSpreadMatchTheFreshPath) {
+  // The call order of step_bench's layer microbench: one spread, then
+  // advects of vertices the previous advect already moved.
+  AdvectFixture fx, ref;
+  fx.spread();
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    advect_cells(fx.lat, fx.pools(), ibm::DeltaKernel::Cosine4);
+    fresh_advect(ref, ibm::DeltaKernel::Cosine4);
+    expect_bit_identical(fx.state(), ref.state());
   }
 }
 

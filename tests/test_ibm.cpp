@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/exec/exec.hpp"
@@ -381,14 +383,171 @@ TEST(IbmMultiTile, StencilsMatchDenseReferenceAcrossTileFaces) {
   }
 }
 
-TEST(IbmUpdate, MovesVerticesByVelocityTimesSpacing) {
-  const lbm::Lattice lat(4, 4, 4, Vec3{}, 0.5, 1.0);
-  std::vector<Vec3> pos{{1.0, 1.0, 1.0}};
-  const std::vector<Vec3> vel{{0.1, -0.2, 0.0}};
-  update_positions(lat, pos, vel);
-  EXPECT_NEAR(pos[0].x, 1.0 + 0.1 * 0.5, 1e-15);
-  EXPECT_NEAR(pos[0].y, 1.0 - 0.2 * 0.5, 1e-15);
-  EXPECT_NEAR(pos[0].z, 1.0, 1e-15);
+/// Dense-index reference spread of `forces` at `pos` in vertex order,
+/// summed into per-worker fields by the chunks parallel_for_chunks hands
+/// each worker at the current worker count and merged in ascending worker
+/// order: the summation order of the parallel kernel (a single worker
+/// gives the serial order).
+void dense_spread_by_worker(lbm::Lattice& lat, const std::vector<Vec3>& pos,
+                            const std::vector<Vec3>& forces) {
+  const auto nw = static_cast<std::size_t>(exec::num_workers());
+  std::vector<int> owner(pos.size(), -1);
+  exec::parallel_for_chunks(pos.size(),
+                            [&](std::size_t b, std::size_t e, int worker) {
+                              for (std::size_t v = b; v < e; ++v) {
+                                owner[v] = worker;
+                              }
+                            });
+  const auto receives = [&](std::size_t i) {
+    return lat.type(i) != lbm::NodeType::Exterior &&
+           lat.type(i) != lbm::NodeType::Wall;
+  };
+  std::vector<std::vector<Vec3>> fields(
+      nw, std::vector<Vec3>(lat.num_nodes(), Vec3{}));
+  for (std::size_t v = 0; v < pos.size(); ++v) {
+    auto& field = fields[static_cast<std::size_t>(owner[v])];
+    dense_stencil(lat, pos[v], [&](std::size_t i, double w) {
+      if (receives(i)) field[i] += forces[v] * w;
+    });
+  }
+  for (std::size_t i = 0; i < lat.num_nodes(); ++i) {
+    if (!receives(i)) continue;
+    Vec3 sum{};
+    for (const auto& field : fields) sum += field[i];
+    lat.add_force(i, sum);
+  }
+}
+
+TEST(IbmStencilRecord, EntriesAreTheDeltaWeightsAtEachPosition) {
+  const lbm::Lattice lat = multi_tile_lattice();
+  std::vector<Vec3> pos, forces;
+  make_tile_crossing_workload(lat, pos, forces);
+  StencilRecord rec;
+  const std::span<const Vec3> x(pos);
+  rec.build(lat, {&x, 1}, DeltaKernel::Cosine4);
+  ASSERT_EQ(rec.size(), pos.size());
+  ASSERT_TRUE(rec.matches(lat, {&x, 1}, DeltaKernel::Cosine4));
+  for (std::size_t v = 0; v < pos.size(); ++v) {
+    const Stencil& s = rec[v];
+    const Vec3 lc = lat.to_lattice(pos[v]);
+    for (int a = 0; a < 3; ++a) {
+      int first = 0;
+      std::array<double, 4> w{};
+      const int n = delta_weights(DeltaKernel::Cosine4, lc[a], &first, w);
+      ASSERT_EQ(s.count[a], n) << "vertex " << v << " axis " << a;
+      ASSERT_EQ(s.first[a], first) << "vertex " << v << " axis " << a;
+      for (int j = 0; j < n; ++j) ASSERT_EQ(s.w[a][j], w[j]);
+    }
+  }
+}
+
+TEST(IbmStencilRecord, MatchesOnlyTheLatticeKernelAndPositionsItWasBuiltFor) {
+  const lbm::Lattice lat(12, 12, 12, Vec3{-1.0, 0.5, 0.0}, 0.5, 1.0);
+  Rng rng(23);
+  std::vector<Vec3> pos;
+  for (int i = 0; i < 40; ++i) {
+    pos.push_back(rng.point_in_box({-0.5, 1.0, 0.5}, {4.0, 5.0, 5.0}));
+  }
+  const std::span<const Vec3> all(pos);
+  const Blocks<const Vec3> blocks{&all, 1};
+  StencilRecord rec;
+  EXPECT_FALSE(rec.matches(lat, blocks, DeltaKernel::Cosine4));
+  rec.build(lat, blocks, DeltaKernel::Cosine4);
+  EXPECT_TRUE(rec.matches(lat, blocks, DeltaKernel::Cosine4));
+
+  // The same positions split over two blocks are the same vertex set.
+  const std::span<const Vec3> halves[2] = {all.first(17), all.subspan(17)};
+  EXPECT_TRUE(rec.matches(lat, halves, DeltaKernel::Cosine4));
+
+  EXPECT_FALSE(rec.matches(lat, blocks, DeltaKernel::Peskin3));
+  lbm::Lattice moved = lat;
+  moved.set_origin(lat.origin() + Vec3{0.0, 0.0, 0.25});
+  EXPECT_FALSE(rec.matches(moved, blocks, DeltaKernel::Cosine4));
+  const lbm::Lattice finer(12, 12, 12, lat.origin(), 0.25, 1.0);
+  EXPECT_FALSE(rec.matches(finer, blocks, DeltaKernel::Cosine4));
+  const std::span<const Vec3> fewer = all.first(39);
+  EXPECT_FALSE(rec.matches(lat, {&fewer, 1}, DeltaKernel::Cosine4));
+  std::vector<Vec3> more = pos;
+  more.push_back(pos.front());
+  const std::span<const Vec3> more_span(more);
+  EXPECT_FALSE(rec.matches(lat, {&more_span, 1}, DeltaKernel::Cosine4));
+  std::vector<Vec3> nudged = pos;
+  nudged[29].y = std::nextafter(nudged[29].y, 10.0);
+  const std::span<const Vec3> nudged_span(nudged);
+  EXPECT_FALSE(rec.matches(lat, {&nudged_span, 1}, DeltaKernel::Cosine4));
+}
+
+TEST(IbmStencilRecord, OneRecordServesSpreadAndInterpolationBitForBit) {
+  // One record feeds the scatter and the gather, as in an FSI sub-step,
+  // over two blocks split off-chunk. Both must equal the dense-index
+  // references at one and at three workers.
+  const lbm::Lattice lat = multi_tile_lattice();
+  std::vector<Vec3> pos, forces;
+  make_tile_crossing_workload(lat, pos, forces);
+  const std::size_t split = 1237;
+  const std::span<const Vec3> x[2] = {std::span<const Vec3>(pos).first(split),
+                                      std::span<const Vec3>(pos).subspan(split)};
+  const std::span<const Vec3> f[2] = {
+      std::span<const Vec3>(forces).first(split),
+      std::span<const Vec3>(forces).subspan(split)};
+
+  const int saved = exec::num_workers();
+  for (const int workers : {1, 3}) {
+    exec::set_num_workers(workers);
+    StencilRecord rec;
+    rec.build(lat, x, DeltaKernel::Cosine4);
+
+    std::vector<Vec3> vel(pos.size());
+    const std::span<Vec3> u[2] = {std::span<Vec3>(vel).first(split),
+                                  std::span<Vec3>(vel).subspan(split)};
+    interpolate_velocities(lat, rec, u);
+    for (std::size_t v = 0; v < pos.size(); ++v) {
+      Vec3 ref{};
+      dense_stencil(lat, pos[v], [&](std::size_t i, double w) {
+        ref += lat.velocity(i) * w;
+      });
+      ASSERT_EQ(vel[v].x, ref.x) << workers << " workers, vertex " << v;
+      ASSERT_EQ(vel[v].y, ref.y) << workers << " workers, vertex " << v;
+      ASSERT_EQ(vel[v].z, ref.z) << workers << " workers, vertex " << v;
+    }
+
+    lbm::Lattice ref = multi_tile_lattice();
+    dense_spread_by_worker(ref, pos, forces);
+    lbm::Lattice spread = multi_tile_lattice();
+    spread_forces(spread, rec, f);
+    expect_forces_identical(spread, ref);
+
+    lbm::Lattice serial_ref = multi_tile_lattice();
+    {
+      exec::set_num_workers(1);
+      dense_spread_by_worker(serial_ref, pos, forces);
+      exec::set_num_workers(workers);
+    }
+    lbm::Lattice serial = multi_tile_lattice();
+    spread_forces_serial(serial, rec, f);
+    expect_forces_identical(serial, serial_ref);
+  }
+  exec::set_num_workers(saved);
+}
+
+TEST(IbmStencilRecord, ScaleMultipliesEachForceBeforeItsWeights) {
+  // spread_forces(..., scale) equals spreading the pre-scaled forces.
+  const lbm::Lattice base = multi_tile_lattice();
+  std::vector<Vec3> pos, forces;
+  make_tile_crossing_workload(base, pos, forces);
+  const double scale = 3.7e-3;
+  std::vector<Vec3> scaled;
+  for (const Vec3& g : forces) scaled.push_back(g * scale);
+  StencilRecord rec;
+  const std::span<const Vec3> x(pos);
+  rec.build(base, {&x, 1}, DeltaKernel::Cosine4);
+  const std::span<const Vec3> f(forces);
+  const std::span<const Vec3> fs(scaled);
+  lbm::Lattice a = multi_tile_lattice();
+  spread_forces(a, rec, {&f, 1}, scale);
+  lbm::Lattice b = multi_tile_lattice();
+  spread_forces(b, rec, {&fs, 1});
+  expect_forces_identical(a, b);
 }
 
 TEST(IbmKernelWeightSum, UnityInInteriorBelowOneAtEdge) {

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 
+#include "src/common/rng.hpp"
 #include "src/io/vtk.hpp"
 #include "src/lbm/boundary.hpp"
 #include "src/mesh/icosphere.hpp"
@@ -23,6 +25,52 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << is.rdbuf();
   return os.str();
+}
+
+/// Bitwise CRC-32 (reflected 0xEDB88320), one bit at a time: the
+/// reference the table-driven io::crc32 must reproduce.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n,
+                            std::uint32_t crc = 0) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(IoCrc32, StandardCheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(IoCrc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(2024);
+  std::vector<unsigned char> buf(4097 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  for (std::size_t n = 0; n <= 4097; ++n) {
+    // Every length, cycling through the eight start offsets; short
+    // buffers try all of them.
+    const std::size_t offsets = n < 64 ? 8 : 1;
+    for (std::size_t k = 0; k < offsets; ++k) {
+      const unsigned char* p = buf.data() + (n + k) % 8;
+      ASSERT_EQ(crc32(p, n), crc32_bitwise(p, n)) << n << " @ " << (n + k) % 8;
+    }
+  }
+}
+
+TEST(IoCrc32, ChainsAcrossSplitBuffers) {
+  Rng rng(77);
+  std::vector<unsigned char> buf(3001);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, crc32_bitwise(buf.data(), buf.size()));
+  for (const std::size_t cut : {0, 1, 7, 8, 9, 1000, 2999, 3001}) {
+    const std::uint32_t a = crc32(buf.data(), cut);
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, a), whole) << cut;
+  }
 }
 
 class IoTest : public ::testing::Test {
