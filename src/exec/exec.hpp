@@ -13,14 +13,19 @@
 ///    contiguous chunk; `worker` < num_workers() indexes per-worker scratch
 ///  - parallel_reduce(n, id, chunk, combine[, grain]): chunk(begin, end)
 ///    partials combined in ascending chunk order, so a fixed grain yields
-///    results independent of the worker count
+///    results independent of the worker count; chunks go to whichever
+///    worker is free
 ///  - WorkerLocal<T>: per-worker scratch/accumulator slots merged in a
 ///    deterministic (slot-index) order by the caller
 ///
 /// Without OpenMP every loop degrades to a serial in-order sweep with
 /// worker id 0 -- same results, no extra dependencies. Chunk boundaries
-/// depend only on (n, grain, num_workers()), never on runtime load, and
-/// the static schedule makes every run with the same worker count
+/// depend only on (n, grain, num_workers()), never on runtime load.
+/// parallel_for_chunks assigns chunks to workers statically, so
+/// worker-indexed scratch sees the same chunks on every run;
+/// parallel_reduce hands them out dynamically, which cannot change its
+/// result (the chunk functor sees no worker id and each partial has its
+/// own slot). Either way every run with the same worker count is
 /// bit-for-bit reproducible.
 
 #include <algorithm>
@@ -105,6 +110,12 @@ void parallel_for(std::size_t n, Body&& body, std::size_t grain = 0) {
 /// [0, n), partials combined with combine(acc, partial) in ascending
 /// chunk order. With an explicit grain the result is independent of the
 /// worker count (chunk boundaries and combine order are fixed).
+///
+/// A free worker takes the next chunk (dynamic schedule). Chunk costs can
+/// differ by far more than the static split evens out -- the LBM sweep
+/// over a sparse tree's tiles is one such loop -- and with a fixed
+/// assignment the step waits for the most loaded worker, and for
+/// whichever core that worker is sharing with other load.
 template <class T, class Chunk, class Combine>
 T parallel_reduce(std::size_t n, T identity, Chunk&& chunk, Combine&& combine,
                   std::size_t grain = 0) {
@@ -113,10 +124,13 @@ T parallel_reduce(std::size_t n, T identity, Chunk&& chunk, Combine&& combine,
   const std::size_t g = detail::resolve_grain(n, grain);
   const std::size_t chunks = (n + g - 1) / g;
   std::vector<T> partial(chunks, identity);
-  parallel_for_chunks(
-      n,
-      [&](std::size_t b, std::size_t e, int) { partial[b / g] = chunk(b, e); },
-      g);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic) if (num_workers() > 1 && chunks > 1)
+#endif
+  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(chunks); ++c) {
+    const std::size_t b = static_cast<std::size_t>(c) * g;
+    partial[static_cast<std::size_t>(c)] = chunk(b, std::min(n, b + g));
+  }
   T acc = std::move(identity);
   for (std::size_t c = 0; c < chunks; ++c) {
     acc = combine(std::move(acc), std::move(partial[c]));

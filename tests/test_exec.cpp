@@ -130,6 +130,40 @@ TEST(Exec, ReduceFixedGrainIsWorkerCountInvariant) {
   EXPECT_EQ(s1, s4);
 }
 
+TEST(Exec, ReduceIsIndependentOfChunkAssignment) {
+  WorkerGuard guard;
+  // The first chunk costs ~1000x the others, so which worker takes which
+  // chunk changes from run to run; every chunk still runs exactly once and
+  // the partials still combine in chunk order, so the sum is bit-exact.
+  constexpr std::size_t kGrain = 64;
+  std::vector<double> xs(4099);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = 1.0 / (1.0 + static_cast<double>(i) * 0.37);
+  }
+  std::vector<std::atomic<int>> calls((xs.size() + kGrain - 1) / kGrain);
+  auto sum_with = [&](int workers) {
+    set_num_workers(workers);
+    return parallel_reduce<double>(
+        xs.size(), 0.0,
+        [&](std::size_t b, std::size_t e) {
+          ++calls[b / kGrain];
+          volatile double sink = 0.0;
+          double s = 0.0;
+          for (int rep = 0; rep < (b == 0 ? 1000 : 1); ++rep) {
+            s = 0.0;
+            for (std::size_t i = b; i < e; ++i) s += xs[i];
+            sink = s;
+          }
+          return sink;
+        },
+        [](double a, double b) { return a + b; }, kGrain);
+  };
+  const double s1 = sum_with(1);
+  constexpr int kRuns = 10;
+  for (int run = 0; run < kRuns; ++run) EXPECT_EQ(sum_with(3), s1);
+  for (const auto& c : calls) EXPECT_EQ(c.load(), 1 + kRuns);
+}
+
 TEST(Exec, ReduceEmptyReturnsIdentity) {
   const int got = parallel_reduce<int>(
       0, 42, [](std::size_t, std::size_t) { return 0; },
