@@ -16,10 +16,6 @@ namespace apr::io {
 
 namespace {
 
-constexpr std::uint32_t kLatticeTag = fourcc('L', 'A', 'T', 'T');
-constexpr std::uint32_t kCellsTag = fourcc('C', 'E', 'L', 'L');
-
-
 std::string tag_name(std::uint32_t tag) {
   char s[5] = {static_cast<char>(tag & 0xFF),
                static_cast<char>((tag >> 8) & 0xFF),
@@ -297,6 +293,11 @@ void LatticeState::validate_geometry(const lbm::Lattice& lat) const {
   if (collision > static_cast<std::uint8_t>(lbm::CollisionModel::Mrt)) {
     throw CheckpointError("checkpoint: unknown collision model id " +
                           std::to_string(collision));
+  }
+  // apply() hands the magic to Lattice::set_collision_model, which would
+  // throw only after every node field had been overwritten.
+  if (trt_magic <= 0.0) {
+    throw CheckpointError("checkpoint: TRT magic parameter must be > 0");
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (type[i] > static_cast<std::uint8_t>(lbm::NodeType::Coupling)) {
@@ -578,6 +579,13 @@ void CellPoolState::validate(const cells::CellPool& pool) const {
                             std::to_string(id));
     }
   }
+  // apply() adds the cells one by one, and CellPool::add rejects a
+  // repeated id only after the earlier cells are in.
+  std::vector<std::uint64_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw CheckpointError("checkpoint: cell section lists a cell id twice");
+  }
 }
 
 void CellPoolState::apply(cells::CellPool& pool) const {
@@ -616,36 +624,6 @@ CellPoolState CellPoolState::deserialize(const std::vector<char>& payload,
   r.vec(st.v, nvert);
   r.expect_end();
   return st;
-}
-
-// --- single-object convenience files ----------------------------------------
-
-void save_lattice(const std::string& path, const lbm::Lattice& lat) {
-  Checkpoint ckpt;
-  ckpt.add(kLatticeTag, LatticeState::capture(lat).serialize());
-  ckpt.write(path);
-}
-
-void load_lattice(const std::string& path, lbm::Lattice& lat) {
-  const Checkpoint ckpt = Checkpoint::read(path);
-  const LatticeState st =
-      LatticeState::deserialize(ckpt.section(kLatticeTag), "lattice");
-  st.validate_geometry(lat);
-  st.apply(lat);
-}
-
-void save_cells(const std::string& path, const cells::CellPool& pool) {
-  Checkpoint ckpt;
-  ckpt.add(kCellsTag, CellPoolState::capture(pool).serialize());
-  ckpt.write(path);
-}
-
-void load_cells(const std::string& path, cells::CellPool& pool) {
-  const Checkpoint ckpt = Checkpoint::read(path);
-  const CellPoolState st =
-      CellPoolState::deserialize(ckpt.section(kCellsTag), "cells");
-  st.validate(pool);
-  st.apply(pool);
 }
 
 }  // namespace apr::io

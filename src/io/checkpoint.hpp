@@ -188,8 +188,8 @@ class Checkpoint {
   const std::vector<char>& section(std::uint32_t tag) const;
 
   /// Section tags in file order. Lets message-shaped containers (the
-  /// parallel transport's halo/migration payloads) assert they hold
-  /// exactly the expected sections before touching any payload.
+  /// parallel transport's halo payloads) assert they hold exactly the
+  /// expected sections before touching any payload.
   std::vector<std::uint32_t> tags() const;
 
   void write(const std::string& path) const;
@@ -293,23 +293,5 @@ struct CellPoolState {
   static CellPoolState deserialize(const std::vector<char>& payload,
                                    std::string what);
 };
-
-// --- single-object convenience files (lattice-only / cells-only) ----------
-
-/// Save the lattice's full state as a one-section container.
-void save_lattice(const std::string& path, const lbm::Lattice& lat);
-
-/// Restore a previously saved lattice state into `lat`; throws
-/// CheckpointError if the file is damaged or the on-disk geometry does not
-/// match. `lat` is untouched on failure.
-void load_lattice(const std::string& path, lbm::Lattice& lat);
-
-/// Save the pool's live cells (ids + positions + velocities) with the
-/// membrane model's reference digest.
-void save_cells(const std::string& path, const cells::CellPool& pool);
-
-/// Restore cells into an empty-or-compatible pool (same vertex count and
-/// reference shape); existing cells with clashing ids cause a throw.
-void load_cells(const std::string& path, cells::CellPool& pool);
 
 }  // namespace apr::io

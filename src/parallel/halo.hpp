@@ -4,13 +4,14 @@
 /// Halo exchange over a BoxDecomposition. Each task stores its owned block
 /// plus a halo shell (wrapped across the seam on periodic axes); exchange()
 /// moves owned boundary layers into neighbouring tasks' halos as
-/// pack -> transport -> unpack: deterministic packing plans (packing.hpp)
-/// serialize halo slabs through the io::Checkpoint section framing, and a
-/// parallel::Transport ships the resulting messages -- the in-process
-/// loopback fabric for `exchange()`, or any per-rank backend (the
-/// fork/socketpair one included) for `exchange(Transport&)`. Byte counts,
-/// message counts and exchange latency feed the scaling performance model
-/// (src/perf) and, when attached, the obs::Metrics registry.
+/// pack -> transport -> unpack: the deterministic HaloPlan (packing.hpp)
+/// orders each halo slab, the slab is serialized through the io::Checkpoint
+/// section framing, and a parallel::Transport ships the resulting
+/// messages -- the in-process loopback fabric for `exchange()`, or any
+/// per-rank backend (the fork/socketpair one included) for
+/// `exchange(Transport&)`. Byte counts, message counts and exchange
+/// latency feed the scaling performance model (src/perf) and, when
+/// attached, the obs::Metrics registry.
 
 #include <cstdint>
 #include <memory>

@@ -64,31 +64,4 @@ ForcePolicyCost force_policy_cost(
   return cost;
 }
 
-std::size_t count_migrations(const std::vector<CellAssignment>& before,
-                             const std::vector<CellAssignment>& after) {
-  if (before.size() != after.size()) {
-    throw std::invalid_argument("count_migrations: snapshot size mismatch");
-  }
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (before[i].owner != after[i].owner) ++n;
-  }
-  return n;
-}
-
-std::vector<MigrationStep> migration_plan(
-    const std::vector<CellAssignment>& before,
-    const std::vector<CellAssignment>& after) {
-  if (before.size() != after.size()) {
-    throw std::invalid_argument("migration_plan: snapshot size mismatch");
-  }
-  std::vector<MigrationStep> steps;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (before[i].owner != after[i].owner) {
-      steps.push_back({i, before[i].owner, after[i].owner});
-    }
-  }
-  return steps;
-}
-
 }  // namespace apr::parallel

@@ -1,17 +1,18 @@
 #pragma once
 
 /// \file migration.hpp
-/// Cell-task assignment and migration accounting (paper §2.4.5, "Reducing
-/// Cell Communication"). Cells are owned by the task containing their
-/// centroid; tasks whose boxes intersect a cell's inflated bounding box
-/// hold it as a halo cell. Two parallelization policies for the IBM
+/// Cell-task assignment and force-policy cost accounting (paper §2.4.5,
+/// "Reducing Cell Communication"). Cells are owned by the task containing
+/// their centroid; tasks whose boxes intersect a cell's inflated bounding
+/// box hold it as a halo cell. Two parallelization policies for the IBM
 /// spreading phase are modelled:
 ///   - Communicate: owners compute forces, then send per-vertex forces to
 ///     every halo task.
 ///   - Recompute: every task (owner + halo holders) recomputes forces for
 ///     all cells it stores -- the paper's choice, trading FLOPs for
 ///     communication.
-/// The byte/flop accounting feeds the ablation bench.
+/// The byte/flop accounting feeds bench/ablation_force_policy. No cell
+/// state moves between ranks here; the parallel substrate moves halos only.
 
 #include <cstdint>
 #include <vector>
@@ -70,26 +71,5 @@ struct ForcePolicyCost {
 ForcePolicyCost force_policy_cost(
     const std::vector<CellAssignment>& assignments, int vertices_per_cell,
     std::uint64_t flops_per_cell_force);
-
-/// Migration events between two assignment snapshots: cells whose owner
-/// changed. Returns the number of migrations; each migration moves the
-/// full vertex state (bytes_per_cell).
-std::size_t count_migrations(const std::vector<CellAssignment>& before,
-                             const std::vector<CellAssignment>& after);
-
-/// One cell changing owner between two assignment snapshots.
-struct MigrationStep {
-  std::size_t cell = 0;  ///< index into the snapshot vectors
-  int from = -1;
-  int to = -1;
-};
-
-/// The explicit migration list behind count_migrations: which cell moves
-/// where, in ascending cell order. Feeds the pack -> transport -> unpack
-/// cell-migration path (parallel::migrate_cells), which ships each
-/// migrating cell's serialized state between the two ranks.
-std::vector<MigrationStep> migration_plan(
-    const std::vector<CellAssignment>& before,
-    const std::vector<CellAssignment>& after);
 
 }  // namespace apr::parallel

@@ -1,34 +1,8 @@
 #include "src/parallel/packing.hpp"
 
-#include <algorithm>
-#include <string>
+#include <map>
 
 namespace apr::parallel {
-
-namespace {
-
-std::vector<int> sorted_peers(const std::vector<int>& peers, int self) {
-  std::vector<int> out = peers;
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  for (int p : out) {
-    if (p == self) {
-      throw TransportError(
-          "pairwise exchange: own rank listed as a peer (self traffic is "
-          "local, not transported)");
-    }
-  }
-  return out;
-}
-
-const std::vector<char>& outgoing_or_empty(
-    const std::map<int, std::vector<char>>& outgoing, int peer) {
-  static const std::vector<char> empty;
-  const auto it = outgoing.find(peer);
-  return it == outgoing.end() ? empty : it->second;
-}
-
-}  // namespace
 
 HaloPlan build_halo_plan(const BoxDecomposition& decomp, int halo_width,
                          int receiver) {
@@ -50,154 +24,6 @@ HaloPlan build_halo_plan(const BoxDecomposition& decomp, int halo_width,
     plan.by_owner.push_back({peer, std::move(nodes)});
   }
   return plan;
-}
-
-std::vector<char> pack_cells(int from, int to,
-                             const std::vector<CellMessage>& cells) {
-  io::BufWriter w;
-  w.pod(static_cast<std::uint32_t>(from));
-  w.pod(static_cast<std::uint32_t>(to));
-  w.pod(static_cast<std::uint64_t>(cells.size()));
-  for (const auto& cell : cells) {
-    w.pod(cell.id);
-    w.pod(static_cast<std::uint64_t>(cell.bytes.size()));
-    w.bytes(cell.bytes.data(), cell.bytes.size());
-  }
-  io::Checkpoint msg;
-  msg.add(kCellSectionTag, w.take());
-  return msg.to_bytes();
-}
-
-std::vector<CellMessage> unpack_cells(int from, int to,
-                                      const std::vector<char>& message) {
-  const io::Checkpoint msg = io::Checkpoint::from_bytes(
-      message, "cell-migration message");
-  if (msg.tags() != std::vector<std::uint32_t>{kCellSectionTag}) {
-    throw TransportError(
-        "cell-migration message: unexpected section layout");
-  }
-  io::BufReader r(msg.section(kCellSectionTag), "cell-migration");
-  const auto got_from = r.pod<std::uint32_t>();
-  const auto got_to = r.pod<std::uint32_t>();
-  if (static_cast<int>(got_from) != from || static_cast<int>(got_to) != to) {
-    throw TransportError(
-        "cell-migration message: addressed " + std::to_string(got_from) +
-        " -> " + std::to_string(got_to) + ", expected " +
-        std::to_string(from) + " -> " + std::to_string(to));
-  }
-  const auto count = r.pod<std::uint64_t>();
-  if (count > (1ull << 24)) {
-    throw TransportError("cell-migration message: implausible cell count");
-  }
-  std::vector<CellMessage> cells;
-  cells.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CellMessage cell;
-    r.pod(cell.id);
-    const auto nbytes = r.pod<std::uint64_t>();
-    if (nbytes > (1ull << 30)) {
-      throw TransportError("cell-migration message: implausible cell size");
-    }
-    cell.bytes.resize(static_cast<std::size_t>(nbytes));
-    r.raw(cell.bytes.data(), cell.bytes.size());
-    cells.push_back(std::move(cell));
-  }
-  r.expect_end();
-  return cells;
-}
-
-void pairwise_send(Transport& t, const std::vector<int>& peers, int tag,
-                   const std::map<int, std::vector<char>>& outgoing) {
-  for (int p : sorted_peers(peers, t.rank())) {
-    t.send(p, tag, outgoing_or_empty(outgoing, p));
-  }
-}
-
-std::map<int, std::vector<char>> pairwise_recv(Transport& t,
-                                               const std::vector<int>& peers,
-                                               int tag) {
-  std::map<int, std::vector<char>> inbound;
-  for (int p : sorted_peers(peers, t.rank())) {
-    inbound[p] = t.recv(p, tag);
-  }
-  return inbound;
-}
-
-std::map<int, std::vector<char>> pairwise_exchange(
-    Transport& t, const std::vector<int>& peers, int tag,
-    const std::map<int, std::vector<char>>& outgoing) {
-  std::map<int, std::vector<char>> inbound;
-  for (int p : sorted_peers(peers, t.rank())) {
-    if (t.rank() < p) {
-      t.send(p, tag, outgoing_or_empty(outgoing, p));
-      inbound[p] = t.recv(p, tag);
-    } else {
-      inbound[p] = t.recv(p, tag);
-      t.send(p, tag, outgoing_or_empty(outgoing, p));
-    }
-  }
-  return inbound;
-}
-
-namespace {
-
-std::map<int, std::vector<char>> pack_outgoing_cells(
-    int rank, const std::vector<int>& peers,
-    const std::map<int, std::vector<CellMessage>>& outgoing) {
-  for (const auto& [dest, cells] : outgoing) {
-    if (std::find(peers.begin(), peers.end(), dest) == peers.end()) {
-      throw TransportError("migrate_cells: destination rank " +
-                           std::to_string(dest) + " is not a listed peer");
-    }
-    (void)cells;
-  }
-  std::map<int, std::vector<char>> packed;
-  for (int p : peers) {
-    const auto it = outgoing.find(p);
-    packed[p] = pack_cells(rank, p,
-                           it == outgoing.end() ? std::vector<CellMessage>{}
-                                                : it->second);
-  }
-  return packed;
-}
-
-std::vector<CellArrival> collect_arrivals(
-    int rank, const std::map<int, std::vector<char>>& inbound) {
-  std::vector<CellArrival> arrivals;
-  for (const auto& [from, message] : inbound) {
-    for (auto& cell : unpack_cells(from, rank, message)) {
-      arrivals.push_back({from, std::move(cell)});
-    }
-  }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const CellArrival& a, const CellArrival& b) {
-              return a.from != b.from ? a.from < b.from
-                                      : a.cell.id < b.cell.id;
-            });
-  return arrivals;
-}
-
-}  // namespace
-
-std::vector<CellArrival> migrate_cells(
-    Transport& t, const std::vector<int>& peers,
-    const std::map<int, std::vector<CellMessage>>& outgoing) {
-  const auto packed = pack_outgoing_cells(t.rank(), peers, outgoing);
-  const auto inbound =
-      pairwise_exchange(t, peers, kMigrationMessageTag, packed);
-  return collect_arrivals(t.rank(), inbound);
-}
-
-void send_cells(Transport& t, const std::vector<int>& peers,
-                const std::map<int, std::vector<CellMessage>>& outgoing) {
-  const auto packed = pack_outgoing_cells(t.rank(), peers, outgoing);
-  pairwise_send(t, peers, kMigrationMessageTag, packed);
-}
-
-std::vector<CellArrival> recv_cells(Transport& t,
-                                    const std::vector<int>& peers) {
-  return collect_arrivals(t.rank(),
-                          pairwise_recv(t, peers, kMigrationMessageTag));
 }
 
 }  // namespace apr::parallel

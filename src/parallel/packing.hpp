@@ -1,35 +1,30 @@
 #pragma once
 
 /// \file packing.hpp
-/// Buffer *packing* for the parallel substrate, kept strictly separate
-/// from buffer *movement* (transport.hpp): halo slabs and migrating-cell
-/// payloads are serialized through the io::Checkpoint section framing
-/// (versioned container, per-section CRC-32), so every backend ships
-/// byte-identical, integrity-checked messages. Receivers rebuild the same
-/// deterministic plans from the decomposition alone, which is what makes
-/// the loopback and fork backends bit-equal by construction (the
-/// tools/transport_smoke harness and tests/test_transport.cpp enforce it).
+/// Halo *packing* for the parallel substrate, kept strictly separate from
+/// buffer *movement* (transport.hpp). A halo slab is serialized through the
+/// io::Checkpoint section framing (versioned container, per-section
+/// CRC-32), so every backend ships byte-identical, integrity-checked
+/// messages. Receivers rebuild the same deterministic HaloPlan from the
+/// decomposition alone, which is what makes the loopback and fork backends
+/// bit-equal by construction (the tools/transport_smoke harness and
+/// tests/test_transport.cpp enforce it).
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/common/vec3.hpp"
 #include "src/io/checkpoint.hpp"
 #include "src/parallel/decomposition.hpp"
-#include "src/parallel/transport.hpp"
 
 namespace apr::parallel {
 
-/// Transport-frame tags for the two message families.
-inline constexpr int kHaloMessageTag = 0x484C4F45;       // "HLOE"
-inline constexpr int kMigrationMessageTag = 0x4D494752;  // "MIGR"
+/// Transport-frame tag of halo messages.
+inline constexpr int kHaloMessageTag = 0x484C4F45;  // "HLOE"
 
-/// Checkpoint-section tags inside the framed payloads.
+/// Checkpoint-section tag inside a framed halo payload.
 inline constexpr std::uint32_t kHaloSectionTag =
     io::fourcc('H', 'S', 'L', 'B');
-inline constexpr std::uint32_t kCellSectionTag =
-    io::fourcc('C', 'M', 'I', 'G');
 
 /// Receiver-side halo plan for one rank: every stored halo slot, grouped
 /// by the rank owning its (periodically wrapped) global node and listed in
@@ -55,69 +50,5 @@ struct HaloPlan {
 /// same plan without communicating.
 HaloPlan build_halo_plan(const BoxDecomposition& decomp, int halo_width,
                          int receiver);
-
-/// A migrating cell: global id plus an opaque serialized payload (the
-/// owner's full vertex state, produced by the caller's serializer).
-struct CellMessage {
-  std::uint64_t id = 0;
-  std::vector<char> bytes;
-};
-
-/// A cell that arrived from another rank during a migration exchange.
-struct CellArrival {
-  int from = -1;
-  CellMessage cell;
-};
-
-/// Serialize cells departing `from` for `to` into an io::Checkpoint
-/// container (single 'CMIG' section, CRC-protected).
-std::vector<char> pack_cells(int from, int to,
-                             const std::vector<CellMessage>& cells);
-
-/// Validate framing, addressing and CRC, then return the cells. Throws
-/// io::CheckpointError on corruption and TransportError when the message
-/// is addressed to a different (from, to) pair.
-std::vector<CellMessage> unpack_cells(int from, int to,
-                                      const std::vector<char>& message);
-
-/// One-call symmetric neighbour exchange for blocking-capable transports
-/// (the fork backend): peers are visited in ascending order, and for each
-/// peer the lower rank sends first, which keeps the protocol deadlock-free
-/// as long as per-peer messages fit the socket buffering (the transport
-/// deadline surfaces violations as TransportError rather than a hang).
-/// Peers absent from `outgoing` still receive an empty message so both
-/// sides stay frame-aligned. Returns one inbound payload per peer.
-///
-/// On the single-threaded loopback fabric a symmetric exchange cannot
-/// complete inside one rank's call; drive the two phases explicitly with
-/// pairwise_send / pairwise_recv across all ranks instead.
-std::map<int, std::vector<char>> pairwise_exchange(
-    Transport& t, const std::vector<int>& peers, int tag,
-    const std::map<int, std::vector<char>>& outgoing);
-
-/// Phase A of the loopback-compatible protocol: ship this rank's outbound
-/// message (or an empty one) to every peer, ascending.
-void pairwise_send(Transport& t, const std::vector<int>& peers, int tag,
-                   const std::map<int, std::vector<char>>& outgoing);
-
-/// Phase B: collect one inbound payload per peer, ascending.
-std::map<int, std::vector<char>> pairwise_recv(Transport& t,
-                                               const std::vector<int>& peers,
-                                               int tag);
-
-/// The cell-migration path on top of pack -> transport -> unpack: exchange
-/// departing cells with `peers` (symmetric call on every rank), returning
-/// arrivals sorted by (from, id) so downstream insertion order is
-/// deterministic across backends. Blocking-capable transports only; on
-/// loopback drive send_cells / recv_cells across ranks.
-std::vector<CellArrival> migrate_cells(
-    Transport& t, const std::vector<int>& peers,
-    const std::map<int, std::vector<CellMessage>>& outgoing);
-
-/// Loopback-compatible split of migrate_cells.
-void send_cells(Transport& t, const std::vector<int>& peers,
-                const std::map<int, std::vector<CellMessage>>& outgoing);
-std::vector<CellArrival> recv_cells(Transport& t,
-                                    const std::vector<int>& peers);
 
 }  // namespace apr::parallel

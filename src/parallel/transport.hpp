@@ -17,9 +17,9 @@
 /// The contract both backends honor: messages between a (src, dst) pair
 /// are delivered in send order, payloads arrive byte-identical, and
 /// `recv(src, tag)` returns exactly one message whose frame carries that
-/// source and tag. Cross-backend bit-equality of the full halo-exchange /
-/// cell-migration state is enforced by tests/test_transport.cpp and the
-/// tools/transport_smoke golden harness.
+/// source and tag. Cross-backend bit-equality of the halo-exchange state
+/// is enforced by tests/test_transport.cpp and the tools/transport_smoke
+/// golden harness.
 ///
 /// Observability is centralized in the base class: the public send/recv
 /// are non-virtual wrappers that time the backend's do_send/do_recv,
@@ -85,7 +85,7 @@ class Transport {
   virtual const char* backend() const = 0;
 
   /// Ship `payload` to `dest`. Payloads are opaque; `tag` disambiguates
-  /// message streams (halo vs migration vs harness control traffic).
+  /// message streams (halo vs harness control traffic).
   /// Non-virtual: times and accounts the backend's do_send, records a
   /// "transport"/"send" span when tracing is armed, and mirrors counters
   /// into an attached metrics registry.
