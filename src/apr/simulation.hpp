@@ -244,9 +244,6 @@ class AprSimulation {
   /// record it so artifacts can be matched to compatible checkpoints.
   std::uint64_t params_fingerprint() const;
 
-  /// On-disk size of the most recent save_checkpoint(), in bytes.
-  std::size_t last_checkpoint_bytes() const { return last_checkpoint_bytes_; }
-
   /// Write the accumulated trace to params().obs.trace_file. Throws
   /// std::logic_error when no trace file was configured, and
   /// std::runtime_error on I/O failure.

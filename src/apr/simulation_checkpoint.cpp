@@ -165,7 +165,7 @@ io::Checkpoint AprSimulation::make_checkpoint() const {
   io::LatticeState cs = io::LatticeState::capture(*coarse_);
   if (coupler_) {
     for (const auto& [idx, tau] : coupler_->footprint_saved_tau()) {
-      cs.tau[idx] = tau;
+      cs.tau[cs.node_pos(idx)] = tau;
     }
   }
   ckpt.add(kCoarseTag, cs.serialize());

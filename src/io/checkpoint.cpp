@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
+#include <iterator>
 #include <utility>
 
 #include "src/fem/membrane_model.hpp"
@@ -118,7 +118,6 @@ Checkpoint Checkpoint::from_bytes(const std::vector<char>& bytes,
   // A corrupt size field must not trigger a monster allocation, but a
   // fixed cap would reject legitimately huge lattices, so section sizes
   // are bounded by what the image actually holds.
-  const std::uint64_t total = bytes.size();
   std::size_t pos = 0;
   auto get = [&bytes, &pos, &what](auto& v, const char* field) {
     if (bytes.size() - pos < sizeof(v)) {
@@ -151,7 +150,7 @@ Checkpoint Checkpoint::from_bytes(const std::vector<char>& bytes,
     std::uint64_t size = 0;
     get(tag, "section tag");
     get(size, "section size");
-    if (size > total || bytes.size() - pos < size) {
+    if (bytes.size() - pos < size) {
       throw CheckpointError("checkpoint: truncated " + what + " (section " +
                             tag_name(tag) +
                             " claims more bytes than the image holds)");
@@ -172,6 +171,10 @@ Checkpoint Checkpoint::from_bytes(const std::vector<char>& bytes,
       throw CheckpointError(std::string(msg) + " of " + what);
     }
     ckpt.add(tag, std::move(payload));
+  }
+  if (pos != bytes.size()) {
+    throw CheckpointError("checkpoint: trailing bytes after the last "
+                          "section of " + what);
   }
   return ckpt;
 }
@@ -225,8 +228,78 @@ std::uint64_t Checkpoint::digest() const {
 
 namespace {
 
-inline bool vec_zero(const Vec3& v) {
-  return v.x == 0.0 && v.y == 0.0 && v.z == 0.0;
+constexpr int kSide = lbm::Lattice::kTileSide;
+constexpr std::size_t kQ = lbm::kQ;
+/// Wire bytes per node of a block: type, tau, ubc, kQ f, rho, u.
+constexpr std::size_t kWireNodeBytes =
+    1 + (kQ + 2) * sizeof(double) + 2 * sizeof(Vec3);
+
+/// Calls fn(array, entries per node, vacant-node value) for each per-node
+/// array of `st`, in wire order.
+template <typename State, typename Fn>
+void each_array(State& st, Fn&& fn) {
+  fn(st.type, std::size_t{1}, std::uint8_t{0});
+  fn(st.tau, std::size_t{1}, st.default_tau);
+  fn(st.ubc, std::size_t{1}, Vec3{});
+  fn(st.f, kQ, 0.0);
+  fn(st.rho, std::size_t{1}, 1.0);
+  fn(st.u, std::size_t{1}, Vec3{});
+}
+
+/// The header fields in wire order, for BufWriter and BufReader alike.
+template <typename Io, typename State>
+void header(Io& io, State& st) {
+  io.pod(st.nx);
+  io.pod(st.ny);
+  io.pod(st.nz);
+  io.pod(st.origin);
+  io.pod(st.dx);
+  io.pod(st.collision);
+  io.pod(st.trt_magic);
+  for (auto& p : st.periodic) io.pod(p);
+  io.pod(st.ubc_nonzero);
+  io.pod(st.body_force);
+  io.pod(st.site_updates);
+  io.pod(st.default_tau);
+}
+
+/// Node box [x0, x1) x [y0, y1) x [z0, z1) of a block, clipped to the box.
+struct BlockBox {
+  int x0, x1, y0, y1, z0, z1;
+  std::size_t nodes() const {
+    return static_cast<std::size_t>(x1 - x0) * (y1 - y0) * (z1 - z0);
+  }
+};
+
+/// Box of block `id`; throws CheckpointError when it is off the lattice.
+BlockBox block_box(const LatticeState& st, std::uint32_t id) {
+  const std::uint32_t tbx = (st.nx + kSide - 1) / kSide;
+  const std::uint32_t tby = (st.ny + kSide - 1) / kSide;
+  if (id / tbx / tby >= static_cast<std::uint32_t>(st.nz + kSide - 1) / kSide) {
+    throw CheckpointError("checkpoint: lattice block id out of range");
+  }
+  const int x = id % tbx * kSide, y = id / tbx % tby * kSide,
+            z = id / tbx / tby * kSide;
+  return {x, std::min(st.nx, x + kSide), y, std::min(st.ny, y + kSide),
+          z, std::min(st.nz, z + kSide)};
+}
+
+/// Throws CheckpointError unless the block ids ascend and every per-node
+/// array holds exactly those blocks.
+void check_layout(const LatticeState& st) {
+  std::size_t nodes = 0;
+  for (std::size_t k = 0; k < st.blocks.size(); ++k) {
+    if (k > 0 && st.blocks[k] <= st.blocks[k - 1]) {
+      throw CheckpointError("checkpoint: lattice block ids out of order");
+    }
+    nodes += block_box(st, st.blocks[k]).nodes();
+  }
+  each_array(st, [&](const auto& v, std::size_t per, const auto&) {
+    if (v.size() != per * nodes) {
+      throw CheckpointError("checkpoint: lattice section has inconsistent "
+                            "array sizes");
+    }
+  });
 }
 
 }  // namespace
@@ -245,32 +318,75 @@ LatticeState LatticeState::capture(const lbm::Lattice& lat) {
   st.ubc_nonzero = lat.ubc_nonzero() ? 1 : 0;
   st.body_force = lat.body_force();
   st.site_updates = lat.site_updates();
-  const std::size_t n = lat.num_nodes();
-  st.type.resize(n);
-  st.tau.resize(n);
-  st.ubc.resize(n);
-  st.f.resize(static_cast<std::size_t>(lbm::kQ) * n);
-  st.rho.resize(n);
-  st.u.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.type[i] = static_cast<std::uint8_t>(lat.type(i));
-    st.tau[i] = lat.tau(i);
-    st.ubc[i] = lat.boundary_velocity(i);
-    st.rho[i] = lat.rho(i);
-    st.u[i] = lat.velocity(i);
+  // Only resident tiles can be kept: a vacant block reads the shared
+  // exterior tile, which holds the defaults.
+  const std::size_t tiles = lat.num_tiles();
+  std::size_t most = 0;
+  for (std::size_t t = 0; t < tiles; ++t) {
+    most += block_box(st, lat.resident_block(t)).nodes();
   }
-  // f at Wall/Exterior nodes is dead storage: streaming never writes those
-  // slots, so after the buffer swap they hold stale values from two steps
-  // back that no physics path ever reads. Canonicalize them to zero so the
-  // captured state (and hence digests and bit-exact resume comparisons)
-  // depends only on live populations.
-  for (int q = 0; q < lbm::kQ; ++q) {
-    for (std::size_t i = 0; i < n; ++i) {
-      st.f[static_cast<std::size_t>(q) * n + i] =
-          lbm::is_stream_source(lat.type(i)) ? lat.f(q, i) : 0.0;
+  each_array(st, [&](auto& v, std::size_t per, const auto&) {
+    v.reserve(per * most);
+  });
+  for (std::size_t t = 0; t < tiles; ++t) {
+    const auto id = static_cast<std::uint32_t>(lat.resident_block(t));
+    const BlockBox b = block_box(st, id);
+    const std::size_t s = st.type.size(), m = b.nodes();
+    // Appends the block's clipped rows of one tile field.
+    const auto rows = [&](auto& dst, const auto* cells) {
+      for (int z = 0; z < b.z1 - b.z0; ++z) {
+        for (int y = 0; y < b.y1 - b.y0; ++y) {
+          const auto* row = cells + (z * kSide + y) * kSide;
+          dst.insert(dst.end(), row, row + (b.x1 - b.x0));
+        }
+      }
+    };
+    // NodeType is a uint8_t enum, which byte access may alias.
+    rows(st.type, reinterpret_cast<const std::uint8_t*>(lat.tile_types(t)));
+    rows(st.tau, lat.tile_tau(t));
+    rows(st.ubc, lat.tile_ubc(t));
+    for (std::size_t q = 0; q < kQ; ++q) {
+      rows(st.f, lat.tile_f(t) + q * lbm::Lattice::kTileNodes);
     }
+    rows(st.rho, lat.tile_rho(t));
+    rows(st.u, lat.tile_u(t));
+    // f at Wall/Exterior nodes is dead storage: streaming never writes
+    // those slots, so after the buffer swap they hold stale values from
+    // two steps back that no physics path ever reads. Canonicalize them
+    // to zero so the captured state (and hence digests and bit-exact
+    // resume comparisons) depends only on live populations.
+    for (std::size_t p = 0; p < m; ++p) {
+      if (lbm::is_stream_source(lbm::NodeType{st.type[s + p]})) continue;
+      for (std::size_t q = 0; q < kQ; ++q) st.f[kQ * s + q * m + p] = 0.0;
+    }
+    // Keep the block only if some node differs from a vacant one.
+    bool keep = false;
+    each_array(st, [&](auto& v, std::size_t per, const auto& vacant) {
+      keep = keep || std::any_of(v.begin() + per * s, v.end(),
+                                 [&](const auto& x) { return !(x == vacant); });
+    });
+    if (keep) st.blocks.push_back(id);
+    each_array(st, [&](auto& v, std::size_t per, const auto&) {
+      if (!keep) v.resize(per * s);
+    });
   }
   return st;
+}
+
+std::size_t LatticeState::node_pos(std::size_t i) const {
+  const int x = i % nx, y = i / nx % ny, z = i / nx / ny;
+  std::size_t s = 0;
+  for (const std::uint32_t id : blocks) {
+    const BlockBox b = block_box(*this, id);
+    if (b.x0 <= x && x < b.x1 && b.y0 <= y && y < b.y1 && b.z0 <= z &&
+        z < b.z1) {
+      return s + ((z - b.z0) * (b.y1 - b.y0) + y - b.y0) * (b.x1 - b.x0) +
+             x - b.x0;
+    }
+    s += b.nodes();
+  }
+  throw CheckpointError("checkpoint: node " + std::to_string(i) +
+                        " lies in a block the lattice state omits");
 }
 
 void LatticeState::validate_geometry(const lbm::Lattice& lat) const {
@@ -283,13 +399,7 @@ void LatticeState::validate_geometry(const lbm::Lattice& lat) const {
         std::to_string(lat.ny()) + "x" + std::to_string(lat.nz()) +
         " @ dx=" + std::to_string(lat.dx()) + ")");
   }
-  const std::size_t n = lat.num_nodes();
-  if (type.size() != n || tau.size() != n || ubc.size() != n ||
-      rho.size() != n || u.size() != n ||
-      f.size() != static_cast<std::size_t>(lbm::kQ) * n) {
-    throw CheckpointError("checkpoint: lattice section has inconsistent "
-                          "array sizes");
-  }
+  check_layout(*this);
   if (collision > static_cast<std::uint8_t>(lbm::CollisionModel::Mrt)) {
     throw CheckpointError("checkpoint: unknown collision model id " +
                           std::to_string(collision));
@@ -299,37 +409,60 @@ void LatticeState::validate_geometry(const lbm::Lattice& lat) const {
   if (trt_magic <= 0.0) {
     throw CheckpointError("checkpoint: TRT magic parameter must be > 0");
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (type[i] > static_cast<std::uint8_t>(lbm::NodeType::Coupling)) {
+  for (const std::uint8_t t : type) {
+    if (t > static_cast<std::uint8_t>(lbm::NodeType::Coupling)) {
       throw CheckpointError("checkpoint: unknown node type id " +
-                            std::to_string(type[i]));
+                            std::to_string(t));
     }
   }
 }
 
 void LatticeState::apply(lbm::Lattice& lat) const {
-  const std::size_t n = lat.num_nodes();
   // The baseline must change first: per-node writes below decide
   // materialize/no-op against it, and the release check in set_type
   // compares tile contents against it.
   lat.set_default_tau(default_tau);
-  // Scalar fields before types: when the type pass empties a tile, its
-  // other fields already hold their final (possibly default) values, so
-  // an all-default tile is released and the target ends up exactly as
-  // sparse as the saved lattice.
-  std::array<double, lbm::kQ> fq;
-  for (std::size_t i = 0; i < n; ++i) {
-    lat.set_tau(i, tau[i]);
-    lat.set_boundary_velocity(i, ubc[i]);
-    lat.set_rho(i, rho[i]);
-    lat.set_velocity(i, u[i]);
-    for (int q = 0; q < lbm::kQ; ++q) {
-      fq[q] = f[static_cast<std::size_t>(q) * n + i];
-    }
-    lat.set_f_node(i, fq);
+  // Visit the kept blocks and the target's resident tiles; a resident
+  // tile that is not kept is written with the vacant defaults.
+  std::vector<std::uint32_t> resident(lat.num_tiles()), visit;
+  for (std::size_t t = 0; t < resident.size(); ++t) {
+    resident[t] = static_cast<std::uint32_t>(lat.resident_block(t));
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    lat.set_type(i, static_cast<lbm::NodeType>(type[i]));
+  std::set_union(blocks.begin(), blocks.end(), resident.begin(),
+                 resident.end(), std::back_inserter(visit));
+  std::size_t k = 0, s = 0;  // next kept block, its stored position
+  std::array<double, lbm::kQ> fq;
+  for (const std::uint32_t id : visit) {
+    const BlockBox b = block_box(*this, id);
+    const std::size_t m = b.nodes();
+    const bool kept = k < blocks.size() && blocks[k] == id;
+    const int w = b.x1 - b.x0, h = b.y1 - b.y0;
+    const auto node = [&](std::size_t p) {  // lattice index of offset p
+      return lat.idx(b.x0 + p % w, b.y0 + p / w % h, b.z0 + p / w / h);
+    };
+    // Scalar fields before types: when the type pass empties the tile,
+    // its other fields already hold their final (possibly default)
+    // values, so an all-default tile is released and the target ends up
+    // exactly as sparse as the saved lattice.
+    for (std::size_t p = 0; p < m; ++p) {
+      const std::size_t i = node(p);
+      lat.set_tau(i, kept ? tau[s + p] : default_tau);
+      lat.set_boundary_velocity(i, kept ? ubc[s + p] : Vec3{});
+      lat.set_rho(i, kept ? rho[s + p] : 1.0);
+      lat.set_velocity(i, kept ? u[s + p] : Vec3{});
+      for (std::size_t q = 0; q < kQ; ++q) {
+        fq[q] = kept ? f[kQ * s + q * m + p] : 0.0;
+      }
+      lat.set_f_node(i, fq);
+    }
+    for (std::size_t p = 0; p < m; ++p) {
+      lat.set_type(node(p), kept ? lbm::NodeType{type[s + p]}
+                                 : lbm::NodeType::Exterior);
+    }
+    if (kept) {
+      s += m;
+      ++k;
+    }
   }
   lat.set_periodic(periodic[0] != 0, periodic[1] != 0, periodic[2] != 0);
   lat.set_collision_model(static_cast<lbm::CollisionModel>(collision),
@@ -340,95 +473,19 @@ void LatticeState::apply(lbm::Lattice& lat) const {
   lat.set_ubc_nonzero(ubc_nonzero != 0);
 }
 
-namespace {
-
-/// True when node i of `st` differs from the vacant-tile defaults in any
-/// serialized field; blocks with no such node are omitted from the wire.
-bool node_nondefault(const LatticeState& st, std::size_t n, std::size_t i) {
-  if (st.type[i] != 0) return true;
-  if (st.tau[i] != st.default_tau) return true;
-  if (!vec_zero(st.ubc[i])) return true;
-  if (st.rho[i] != 1.0) return true;
-  if (!vec_zero(st.u[i])) return true;
-  for (int q = 0; q < lbm::kQ; ++q) {
-    if (st.f[static_cast<std::size_t>(q) * n + i] != 0.0) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<char> LatticeState::serialize() const {
-  constexpr int S = lbm::Lattice::kTileSide;
-  const std::size_t n = static_cast<std::size_t>(nx) * ny * nz;
-  const int tbx = (nx + S - 1) / S;
-  const int tby = (ny + S - 1) / S;
-  const int tbz = (nz + S - 1) / S;
-
+  check_layout(*this);
   BufWriter w;
-  w.pod(nx);
-  w.pod(ny);
-  w.pod(nz);
-  w.pod(origin);
-  w.pod(dx);
-  w.pod(collision);
-  w.pod(trt_magic);
-  w.bytes(periodic, sizeof(periodic));
-  w.pod(ubc_nonzero);
-  w.pod(body_force);
-  w.pod(site_updates);
-  w.pod(default_tau);
-
-  const auto node = [&](int x, int y, int z) {
-    return (static_cast<std::size_t>(z) * ny + y) * nx + x;
-  };
-  std::vector<std::uint32_t> blocks;
-  std::uint32_t b = 0;
-  for (int bz = 0; bz < tbz; ++bz) {
-    for (int by = 0; by < tby; ++by) {
-      for (int bx = 0; bx < tbx; ++bx, ++b) {
-        const int x1 = std::min(nx, (bx + 1) * S);
-        const int y1 = std::min(ny, (by + 1) * S);
-        const int z1 = std::min(nz, (bz + 1) * S);
-        bool keep = false;
-        for (int z = bz * S; z < z1 && !keep; ++z) {
-          for (int y = by * S; y < y1 && !keep; ++y) {
-            for (int x = bx * S; x < x1 && !keep; ++x) {
-              keep = node_nondefault(*this, n, node(x, y, z));
-            }
-          }
-        }
-        if (keep) blocks.push_back(b);
-      }
-    }
-  }
-
+  header(w, *this);
   w.pod(static_cast<std::uint32_t>(blocks.size()));
+  std::size_t s = 0;
   for (const std::uint32_t id : blocks) {
-    const int bx = static_cast<int>(id) % tbx;
-    const int by = (static_cast<int>(id) / tbx) % tby;
-    const int bz = static_cast<int>(id) / (tbx * tby);
-    const int x0 = bx * S, x1 = std::min(nx, (bx + 1) * S);
-    const int y0 = by * S, y1 = std::min(ny, (by + 1) * S);
-    const int z0 = bz * S, z1 = std::min(nz, (bz + 1) * S);
+    const std::size_t m = block_box(*this, id).nodes();
     w.pod(id);
-    const auto each = [&](auto&& fn) {
-      for (int z = z0; z < z1; ++z) {
-        for (int y = y0; y < y1; ++y) {
-          for (int x = x0; x < x1; ++x) fn(node(x, y, z));
-        }
-      }
-    };
-    each([&](std::size_t i) { w.pod(type[i]); });
-    each([&](std::size_t i) { w.pod(tau[i]); });
-    each([&](std::size_t i) { w.pod(ubc[i]); });
-    for (int q = 0; q < lbm::kQ; ++q) {
-      each([&](std::size_t i) {
-        w.pod(f[static_cast<std::size_t>(q) * n + i]);
-      });
-    }
-    each([&](std::size_t i) { w.pod(rho[i]); });
-    each([&](std::size_t i) { w.pod(u[i]); });
+    each_array(*this, [&](const auto& v, std::size_t per, const auto&) {
+      w.bytes(&v[per * s], per * m * sizeof(v[0]));
+    });
+    s += m;
   }
   return w.take();
 }
@@ -437,78 +494,25 @@ LatticeState LatticeState::deserialize(const std::vector<char>& payload,
                                        std::string what) {
   BufReader r(payload, std::move(what));
   LatticeState st;
-  r.pod(st.nx);
-  r.pod(st.ny);
-  r.pod(st.nz);
-  r.pod(st.origin);
-  r.pod(st.dx);
-  r.pod(st.collision);
-  r.pod(st.trt_magic);
-  for (auto& p : st.periodic) r.pod(p);
-  r.pod(st.ubc_nonzero);
-  r.pod(st.body_force);
-  r.pod(st.site_updates);
+  header(r, st);
   if (st.nx <= 0 || st.ny <= 0 || st.nz <= 0 ||
       st.nx > (1 << 14) || st.ny > (1 << 14) || st.nz > (1 << 14)) {
     throw CheckpointError("checkpoint: implausible lattice dimensions");
   }
-  const std::uint64_t n = static_cast<std::uint64_t>(st.nx) * st.ny * st.nz;
-
-  r.pod(st.default_tau);
-  st.type.assign(n, 0);
-  st.tau.assign(n, st.default_tau);
-  st.ubc.assign(n, Vec3{});
-  st.f.assign(static_cast<std::uint64_t>(lbm::kQ) * n, 0.0);
-  st.rho.assign(n, 1.0);
-  st.u.assign(n, Vec3{});
-
-  constexpr int S = lbm::Lattice::kTileSide;
-  const int tbx = (st.nx + S - 1) / S;
-  const int tby = (st.ny + S - 1) / S;
-  const int tbz = (st.nz + S - 1) / S;
-  const std::uint32_t nblocks =
-      static_cast<std::uint32_t>(tbx) * tby * tbz;
+  // Sized by the bytes present, never by the header's dimensions.
+  each_array(st, [&](auto& v, std::size_t per, const auto&) {
+    v.reserve(per * (payload.size() / kWireNodeBytes));
+  });
   const auto count = r.pod<std::uint32_t>();
-  if (count > nblocks) {
-    throw CheckpointError("checkpoint: lattice section has implausible "
-                          "block count");
-  }
-  const auto node = [&](int x, int y, int z) {
-    return (static_cast<std::size_t>(z) * st.ny + y) * st.nx + x;
-  };
-  std::int64_t prev = -1;
   for (std::uint32_t k = 0; k < count; ++k) {
-    const auto id = r.pod<std::uint32_t>();
-    if (id >= nblocks || static_cast<std::int64_t>(id) <= prev) {
-      throw CheckpointError("checkpoint: lattice block ids out of order "
-                            "or out of range");
-    }
-    prev = id;
-    const int bx = static_cast<int>(id) % tbx;
-    const int by = (static_cast<int>(id) / tbx) % tby;
-    const int bz = static_cast<int>(id) / (tbx * tby);
-    const int x0 = bx * S, x1 = std::min(st.nx, (bx + 1) * S);
-    const int y0 = by * S, y1 = std::min(st.ny, (by + 1) * S);
-    const int z0 = bz * S, z1 = std::min(st.nz, (bz + 1) * S);
-    const auto each = [&](auto&& fn) {
-      for (int z = z0; z < z1; ++z) {
-        for (int y = y0; y < y1; ++y) {
-          for (int x = x0; x < x1; ++x) fn(node(x, y, z));
-        }
-      }
-    };
-    each([&](std::size_t i) { r.raw(&st.type[i], sizeof(st.type[i])); });
-    each([&](std::size_t i) { r.raw(&st.tau[i], sizeof(st.tau[i])); });
-    each([&](std::size_t i) { r.raw(&st.ubc[i], sizeof(st.ubc[i])); });
-    for (int q = 0; q < lbm::kQ; ++q) {
-      each([&](std::size_t i) {
-        r.raw(&st.f[static_cast<std::size_t>(q) * n + i], sizeof(double));
-      });
-    }
-    each([&](std::size_t i) { r.raw(&st.rho[i], sizeof(st.rho[i])); });
-    each([&](std::size_t i) { r.raw(&st.u[i], sizeof(st.u[i])); });
+    st.blocks.push_back(r.pod<std::uint32_t>());
+    const std::size_t m = block_box(st, st.blocks.back()).nodes();
+    each_array(st, [&](auto& v, std::size_t per, const auto&) {
+      r.append(v, per * m);
+    });
   }
   r.expect_end();
+  check_layout(st);
   return st;
 }
 

@@ -23,7 +23,8 @@
 /// caches that the IBM reads at nodes `update_macroscopic()` never rewrites,
 /// collision configuration and counters for the lattice; ids, vertex
 /// positions and velocities plus a reference-state digest of the membrane
-/// model for cell pools. `save -> load` round-trips bit-exactly.
+/// model for cell pools. `save -> load` round-trips bit-exactly, and a
+/// lattice snapshot is never sized by the lattice's bounding box.
 
 #include <array>
 #include <cstdint>
@@ -124,25 +125,24 @@ class BufReader {
   /// length field requesting an absurd allocation.
   template <typename T>
   void vec(std::vector<T>& v, std::uint64_t max_count) {
-    static_assert(std::is_trivially_copyable_v<T>);
     const auto count = pod<std::uint64_t>();
     if (count > max_count) {
       throw CheckpointError("checkpoint: " + what_ +
                             " section has implausible element count");
     }
-    need(count * sizeof(T));
-    v.resize(count);
-    // An empty vector's data() may be null, and memcpy from or to null is
-    // undefined even for zero bytes (an empty RBC pool reaches this).
-    if (count > 0) std::memcpy(v.data(), p_, count * sizeof(T));
-    p_ += count * sizeof(T);
+    v.clear();
+    append(v, count);
   }
-  /// Read exactly n raw bytes (block payloads of the tiled lattice
-  /// section, whose lengths are implied by the block geometry).
-  void raw(void* dst, std::size_t n) {
-    need(n);
-    std::memcpy(dst, p_, n);
-    p_ += n;
+  /// Append `count` elements to `v` once the payload is known to hold
+  /// them (also the block slices of the lattice section).
+  template <typename T>
+  void append(std::vector<T>& v, std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    need(count * sizeof(T));
+    v.resize(v.size() + count);
+    // Guarded: an empty vector may hold null, an undefined memcpy operand.
+    if (count > 0) std::memcpy(&v[v.size() - count], p_, count * sizeof(T));
+    p_ += count * sizeof(T);
   }
   /// All payload bytes must have been consumed.
   void expect_end() const {
@@ -224,7 +224,9 @@ class Checkpoint {
 /// Exterior nodes, which update_macroscopic() never rewrites -- they are
 /// genuine state), the collision configuration, the body force and
 /// the site-update counter, so `capture -> apply` reproduces the lattice
-/// bit-exactly.
+/// bit-exactly. Per-node state covers only the 16^3 `blocks` that differ
+/// from a vacant node, in the wire layout: back to back, each clipped to
+/// the box and x-fastest, `f` q-major per block.
 struct LatticeState {
   int nx = 0, ny = 0, nz = 0;
   Vec3 origin{};
@@ -235,31 +237,32 @@ struct LatticeState {
   std::uint8_t ubc_nonzero = 0;
   Vec3 body_force{};
   std::uint64_t site_updates = 0;
-  /// Baseline tau of nodes whose tile is not resident; doubles as the
-  /// fill value of the per-node arrays for blocks the wire format omits.
+  /// Baseline tau of nodes whose tile is not resident.
   double default_tau = 1.0;
-  std::vector<std::uint8_t> type;  ///< n
-  std::vector<double> tau;         ///< n
-  std::vector<Vec3> ubc;           ///< n
-  std::vector<double> f;           ///< kQ * n, q-major
-  std::vector<double> rho;         ///< n
-  std::vector<Vec3> u;             ///< n
+  std::vector<std::uint32_t> blocks;  ///< kept block ids, ascending
+  std::vector<std::uint8_t> type;     ///< one per kept node
+  std::vector<double> tau;            ///< one per kept node
+  std::vector<Vec3> ubc;              ///< one per kept node
+  std::vector<double> f;              ///< kQ per kept node
+  std::vector<double> rho;            ///< one per kept node
+  std::vector<Vec3> u;                ///< one per kept node
 
   static LatticeState capture(const lbm::Lattice& lat);
+  /// Position of node i in the per-node arrays; throws unless it is kept.
+  std::size_t node_pos(std::size_t i) const;
   /// Throws CheckpointError unless `lat` has the same node counts and
-  /// spacing (the state was saved for this geometry).
+  /// spacing and the per-node arrays match the block list.
   void validate_geometry(const lbm::Lattice& lat) const;
   /// Overwrite every per-node field and configuration flag of `lat`
   /// (which must pass validate_geometry). Does not change the origin.
-  /// Applied onto a lattice with resident tiles, blocks whose restored
-  /// state is entirely default are released again, so the target ends up
-  /// exactly as sparse as the saved lattice was.
+  /// Visits the kept blocks and the target's resident tiles; a resident
+  /// tile whose restored state is entirely default is released again, so
+  /// the target ends up exactly as sparse as the saved lattice was.
   void apply(lbm::Lattice& lat) const;
 
-  /// Tiled wire format: header + per-block clipped payloads for exactly
-  /// the 16^3 blocks holding any non-default content. Because block
-  /// selection is content-based, a lattice in dense reference mode and its
-  /// tiled twin serialize byte-identically.
+  /// Wire format: the header, then each kept block's id and field slices.
+  /// Because blocks are kept by content, a lattice in dense reference
+  /// mode and its tiled twin serialize byte-identically.
   std::vector<char> serialize() const;
   static LatticeState deserialize(const std::vector<char>& payload,
                                   std::string what);

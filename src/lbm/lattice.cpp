@@ -812,7 +812,7 @@ void Lattice::step_no_macro() {
   } else {
     site_updates_ += fused_sweep_scalar();
   }
-  swap_buffers();
+  f_.swap(ftmp_);
   apply_dirichlet(*this);
 }
 

@@ -279,7 +279,6 @@ class Lattice {
   /// tests/test_sweep_plan.cpp); the toggle exists for verification and
   /// the ablation bench.
   void set_segmented_kernel(bool on) { segmented_ = on; }
-  bool segmented_kernel() const { return segmented_; }
 
   /// Sweep-plan rebuilds performed so far (observability counter; a
   /// rebuild is triggered by any residency or node-type change).
@@ -311,12 +310,6 @@ class Lattice {
   void set_periodic(bool px, bool py, bool pz);
   bool periodic(int axis) const { return periodic_[axis]; }
 
-  // Raw slot-pool buffers (tile-slot-major; see tile_f() for the layout).
-  // Exposed for the solver and benches only.
-  std::vector<double>& raw_f() { return f_; }
-  std::vector<double>& raw_ftmp() { return ftmp_; }
-  void swap_buffers() { f_.swap(ftmp_); }
-
   // --- tiled-storage introspection ----------------------------------------
   /// Number of resident (allocated) tiles.
   std::size_t num_tiles() const { return resident_.size(); }
@@ -335,17 +328,17 @@ class Lattice {
     y0 <<= kTileShift;
     z0 <<= kTileShift;
   }
-  /// Per-cell node types of the t-th resident tile (kTileNodes entries;
-  /// cells outside the lattice box are padding and always Exterior).
+  /// Per-cell state of the t-th resident tile: kTileNodes entries per
+  /// field (cells outside the lattice box are padding, always Exterior);
+  /// distributions q-major (direction q at cell c is p[q * kTileNodes + c]).
   const NodeType* tile_types(std::size_t t) const {
-    return type_.data() + static_cast<std::size_t>(tile_slot(t)) * kTileNodes;
+    return type_.data() + tile_offset(t);
   }
-  /// Distributions of the t-th resident tile: kQ * kTileNodes doubles,
-  /// q-major (value of direction q at cell c is p[q * kTileNodes + c]).
-  const double* tile_f(std::size_t t) const {
-    return f_.data() +
-           static_cast<std::size_t>(tile_slot(t)) * kQ * kTileNodes;
-  }
+  const double* tile_f(std::size_t t) const { return &f_[kQ * tile_offset(t)]; }
+  const double* tile_tau(std::size_t t) const { return &tau_[tile_offset(t)]; }
+  const Vec3* tile_ubc(std::size_t t) const { return &ubc_[tile_offset(t)]; }
+  const double* tile_rho(std::size_t t) const { return &rho_[tile_offset(t)]; }
+  const Vec3* tile_u(std::size_t t) const { return &u_[tile_offset(t)]; }
   /// Local cell coordinates within a tile.
   static void cell_coords(std::size_t c, int& lx, int& ly, int& lz) {
     lx = static_cast<int>(c) & (kTileSide - 1);
@@ -371,7 +364,6 @@ class Lattice {
   /// dense reference layout (used by the tiled-vs-dense digest tests and
   /// the ablation bench).
   void set_auto_release(bool on) { auto_release_ = on; }
-  bool auto_release() const { return auto_release_; }
   /// Materialize every tile (dense reference mode).
   void materialize_all();
   /// Compact the slot pools to the resident tiles, returning freed slots
@@ -493,6 +485,9 @@ class Lattice {
   }
   std::int32_t tile_slot(std::size_t t) const {
     return dir_[static_cast<std::size_t>(resident_[t])];
+  }
+  std::size_t tile_offset(std::size_t t) const {
+    return static_cast<std::size_t>(tile_slot(t)) * kTileNodes;
   }
 
   // --- tile lifecycle ------------------------------------------------------

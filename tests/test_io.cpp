@@ -148,8 +148,9 @@ TEST(IoBuf, ReadsPastTheEndThrowCheckpointError) {
   }
   {
     BufReader r(bytes, "test");
-    char dst[3];
-    EXPECT_THROW(r.raw(dst, sizeof(dst)), CheckpointError);
+    std::vector<char> dst;
+    EXPECT_THROW(r.append(dst, 3), CheckpointError);
+    EXPECT_TRUE(dst.empty());  // nothing grows before the bytes are there
   }
   {
     // The length prefix is within the cap but the elements are missing.
@@ -288,6 +289,24 @@ TEST(IoContainer, FromBytesRejectsOversizedSectionLength) {
   const std::uint32_t count = 2;
   std::memcpy(bytes.data() + 12, &count, sizeof(count));
   EXPECT_THROW(Checkpoint::from_bytes(bytes), CheckpointError);
+}
+
+TEST(IoContainer, FromBytesRejectsTrailingBytes) {
+  Checkpoint ckpt;
+  ckpt.add(fourcc('T', 'A', 'I', 'L'), chars("abc"));
+  const std::vector<char> good = ckpt.to_bytes();
+  EXPECT_NO_THROW(Checkpoint::from_bytes(good));
+  for (const std::size_t extra : {1u, 2u}) {
+    std::vector<char> bytes = good;
+    bytes.resize(bytes.size() + extra, '\0');
+    try {
+      (void)Checkpoint::from_bytes(bytes, "padded.chk");
+      ADD_FAILURE() << extra << " trailing bytes were accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("padded.chk"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 class IoTest : public ::testing::Test {
@@ -512,7 +531,7 @@ TEST_F(IoTest, LatticeCheckpointRejectsUnknownNodeType) {
   lbm::Lattice lat(5, 5, 5, Vec3{}, 1.0, 1.0);
   lat.init_equilibrium(1.0, Vec3{});
   LatticeState st = LatticeState::capture(lat);
-  st.type[17] = 200;
+  st.type[st.node_pos(17)] = 200;
   EXPECT_THROW(st.validate_geometry(lat), CheckpointError);
 }
 
@@ -526,6 +545,11 @@ TEST_F(IoTest, LatticeCheckpointRejectsInconsistentArrays) {
   LatticeState short_f = good;
   short_f.f.resize(short_f.f.size() - 1);
   EXPECT_THROW(short_f.validate_geometry(lat), CheckpointError);
+  // The arrays must match the block list, not just each other.
+  LatticeState no_blocks = good;
+  no_blocks.blocks.clear();
+  EXPECT_THROW(no_blocks.validate_geometry(lat), CheckpointError);
+  EXPECT_THROW((void)no_blocks.serialize(), CheckpointError);
   EXPECT_NO_THROW(good.validate_geometry(lat));
 }
 
@@ -544,6 +568,22 @@ TEST_F(IoTest, LatticeStateRejectsImplausibleDimensions) {
     }
   }
   EXPECT_NO_THROW(LatticeState::deserialize(good, "lattice"));
+}
+
+TEST_F(IoTest, LatticeStateHugeDimensionsFailClosed) {
+  // One 4^3 block (about 14 KB) whose header claims 16384^3 nodes: the
+  // claimed first block then needs 16^3 nodes of payload that are not
+  // there. Nothing may be sized from the header before that shows.
+  lbm::Lattice lat(4, 4, 4, Vec3{}, 1.0, 1.0);
+  lat.init_equilibrium(1.0, Vec3{});
+  std::vector<char> payload = LatticeState::capture(lat).serialize();
+  ASSERT_LT(payload.size(), 15000u);
+  const std::int32_t huge = 1 << 14;
+  for (const std::size_t at : {0u, 4u, 8u}) {
+    std::memcpy(payload.data() + at, &huge, sizeof(huge));
+  }
+  EXPECT_THROW(LatticeState::deserialize(payload, "lattice"),
+               CheckpointError);
 }
 
 /// Byte offset of the u32 block count in a serialized lattice: nx ny nz
@@ -582,19 +622,22 @@ TEST_F(IoTest, LatticeStateRejectsBadBlockIds) {
 
 TEST_F(IoTest, LatticeStateWireFormatOmitsDefaultBlocks) {
   // 40 x 20 x 20 nodes: 3 x 2 x 2 blocks of 16^3, the outer ones clipped.
+  // Dense reference mode keeps every tile resident, so capture itself must
+  // drop the all-default ones.
   lbm::Lattice lat(40, 20, 20, Vec3{}, 1.0, 0.9);
-  LatticeState st = LatticeState::capture(lat);
-  const std::size_t n = lat.num_nodes();
-  std::fill(st.type.begin(), st.type.end(), 0);
-  std::fill(st.tau.begin(), st.tau.end(), st.default_tau);
-  std::fill(st.ubc.begin(), st.ubc.end(), Vec3{});
-  std::fill(st.f.begin(), st.f.end(), 0.0);
-  std::fill(st.rho.begin(), st.rho.end(), 1.0);
-  std::fill(st.u.begin(), st.u.end(), Vec3{});
+  lat.set_auto_release(false);
+  for (std::size_t i = 0; i < lat.num_nodes(); ++i) {
+    lat.set_type(i, lbm::NodeType::Exterior);
+  }
+  ASSERT_EQ(lat.num_tiles(), lat.max_tiles());
   // One non-default node at (20, 17, 3): block (1, 1, 0), id 1 + 1 * 3.
-  const std::size_t i = (3 * 20 + 17) * 40 + 20;
-  st.rho[i] = 1.25;
-  st.f[5 * n + i] = 0.5;
+  const std::size_t i = lat.idx(20, 17, 3);
+  lat.set_type(i, lbm::NodeType::Fluid);
+  lat.set_rho(i, 1.25);
+  lat.set_f(5, i, 0.5);
+  const LatticeState st = LatticeState::capture(lat);
+  ASSERT_EQ(st.blocks, std::vector<std::uint32_t>{4});
+  EXPECT_EQ(st.rho[st.node_pos(i)], 1.25);
 
   const std::vector<char> payload = st.serialize();
   std::uint32_t count = 0, id = 0;
@@ -606,6 +649,7 @@ TEST_F(IoTest, LatticeStateWireFormatOmitsDefaultBlocks) {
   EXPECT_EQ(payload.size(), kBlockCountAt + 4 + 4 + 16 * 4 * 16 * kNodeBytes);
 
   const LatticeState back = LatticeState::deserialize(payload, "lattice");
+  EXPECT_EQ(back.blocks, st.blocks);
   EXPECT_EQ(back.type, st.type);
   EXPECT_EQ(back.tau, st.tau);
   EXPECT_EQ(back.ubc, st.ubc);
@@ -613,6 +657,35 @@ TEST_F(IoTest, LatticeStateWireFormatOmitsDefaultBlocks) {
   EXPECT_EQ(back.rho, st.rho);
   EXPECT_EQ(back.u, st.u);
   EXPECT_EQ(back.serialize(), payload);
+}
+
+TEST_F(IoTest, LatticeStateHoldsOnlyKeptBlockNodes) {
+  // 40^3 nodes: 3 x 3 x 3 blocks. Only the far corner block, clipped to
+  // 8^3 nodes, is resident.
+  lbm::Lattice lat(40, 40, 40, Vec3{}, 1.0, 1.0);
+  for (std::size_t i = 0; i < lat.num_nodes(); ++i) {
+    lat.set_type(i, lbm::NodeType::Exterior);
+  }
+  ASSERT_EQ(lat.num_tiles(), 0u);
+  const std::size_t i = lat.idx(39, 33, 35);
+  lat.set_type(i, lbm::NodeType::Wall);
+  ASSERT_EQ(lat.num_tiles(), 1u);
+
+  const LatticeState st = LatticeState::capture(lat);
+  EXPECT_EQ(st.blocks, std::vector<std::uint32_t>{26});
+  const std::size_t m = 8 * 8 * 8;
+  EXPECT_EQ(st.type.size(), m);
+  EXPECT_EQ(st.tau.size(), m);
+  EXPECT_EQ(st.ubc.size(), m);
+  EXPECT_EQ(st.f.size(), lbm::kQ * m);
+  EXPECT_EQ(st.rho.size(), m);
+  EXPECT_EQ(st.u.size(), m);
+  // Node (39, 33, 35) is (7, 1, 3) inside the clipped 8^3 block.
+  EXPECT_EQ(st.node_pos(i), (3u * 8u + 1u) * 8u + 7u);
+  EXPECT_EQ(st.type[st.node_pos(i)],
+            static_cast<std::uint8_t>(lbm::NodeType::Wall));
+  EXPECT_EQ(std::count(st.type.begin(), st.type.end(), 0), 511);
+  EXPECT_THROW((void)st.node_pos(lat.idx(0, 0, 0)), CheckpointError);
 }
 
 TEST_F(IoTest, CellCheckpointRestoresVelocities) {
@@ -742,11 +815,12 @@ struct Field {
 };
 
 /// One seeded mutation: a byte flip (half of them aimed at the header),
-/// a truncation, an extension with random bytes, or a length field
-/// overwritten with a boundary value.
+/// a truncation, an extension with random bytes, a length field
+/// overwritten with a boundary value, or (when `joint` is not empty) all
+/// of `joint` overwritten together with one large in-range value.
 void mutate(std::vector<char>& p, const std::vector<Field>& fields,
-            Rng& rng) {
-  switch (rng.uniform_index(4)) {
+            const std::vector<Field>& joint, Rng& rng) {
+  switch (rng.uniform_index(joint.empty() ? 4 : 5)) {
     case 0: {
       const std::size_t span =
           rng.uniform() < 0.5 ? std::min<std::size_t>(p.size(), 128)
@@ -763,6 +837,13 @@ void mutate(std::vector<char>& p, const std::vector<Field>& fields,
       for (std::size_t k = 0; k < extra; ++k) {
         p.push_back(static_cast<char>(rng.next_u64()));
       }
+      break;
+    }
+    case 4: {
+      const std::uint64_t values[] = {1ull << 13, (1ull << 14) - 1,
+                                      1ull << 14};
+      const std::uint64_t v = values[rng.uniform_index(3)];
+      for (const Field& f : joint) std::memcpy(p.data() + f.offset, &v, f.width);
       break;
     }
     default: {
@@ -818,6 +899,8 @@ TEST(IoFuzz, SectionPayloadsFailClosed) {
   ASSERT_EQ(block_count, 1u);  // the layout the fields below assume
   const std::vector<Field> lattice_fields = {
       {0, 4}, {4, 4}, {8, 4}, {block_count_at, 4}, {block_count_at + 4, 4}};
+  // nx, ny and nz together: a header claiming up to 16384^3 nodes.
+  const std::vector<Field> lattice_dims = {{0, 4}, {4, 4}, {8, 4}};
 
   const auto model = std::make_unique<fem::MembraneModel>(
       mesh::icosphere(1, 1.0), fem::MembraneParams{});
@@ -848,7 +931,7 @@ TEST(IoFuzz, SectionPayloadsFailClosed) {
   for (int i = 0; i < 2000 && !HasFailure(); ++i) {
     if (i % 2 == 0) {
       std::vector<char> payload = lattice_payload;
-      mutate(payload, lattice_fields, rng);
+      mutate(payload, lattice_fields, lattice_dims, rng);
       const std::vector<char> image = frame(kLatticeTag, std::move(payload));
       try {
         const LatticeState st = decode_lattice(image, target);
@@ -869,7 +952,7 @@ TEST(IoFuzz, SectionPayloadsFailClosed) {
       }
     } else {
       std::vector<char> payload = cells_payload;
-      mutate(payload, cell_fields, rng);
+      mutate(payload, cell_fields, {}, rng);
       const std::vector<char> image = frame(kCellsTag, std::move(payload));
       cells::CellPool pool = build_pool();
       const std::uint64_t before = pool_digest(pool);
