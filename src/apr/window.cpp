@@ -135,7 +135,8 @@ void Window::ensure_measure_regions(const cells::CellPool& rbcs) const {
 }
 
 double Window::subregion_hematocrit(std::size_t s,
-                                    const cells::CellPool& rbcs) const {
+                                    const cells::CellPool& rbcs,
+                                    std::span<const Aabb> cell_boxes) const {
   // The paper monitors subregions by centroid count, which is exact when
   // subregions are much larger than a cell (50 um cubes vs 4 um RBCs).
   // At this library's scales subregions can approach the cell size, where
@@ -153,8 +154,8 @@ double Window::subregion_hematocrit(std::size_t s,
   const double nv = static_cast<double>(rbcs.vertices_per_cell());
   double cell_volume = 0.0;
   for (std::size_t slot = 0; slot < rbcs.size(); ++slot) {
+    if (!box.overlaps(cell_boxes[slot])) continue;
     const auto x = rbcs.positions(slot);
-    if (!box.overlaps(cells::bounds(x))) continue;
     int inside = 0;
     for (const Vec3& v : x) {
       if (box.contains(v)) ++inside;
@@ -266,9 +267,17 @@ PopulationReport Window::maintain(cells::CellPool& rbcs,
   report.removed_outside = remove_exited_cells(rbcs);
   const double floor_ht = cfg_.repopulation_threshold * cfg_.target_hematocrit;
   std::optional<cells::SubGrid> grid;  // built at the first refill
+  // Each cell's box, computed once per pass. A refill only appends cells
+  // (an added cell takes the next slot; only removals shift slots), so
+  // the list is extended for the new cells, never recomputed.
+  std::vector<Aabb> cell_boxes;
+  cell_boxes.reserve(rbcs.size());
   for (std::size_t s = 0; s < subregions_.size(); ++s) {
     if (fill_[s] <= 0.0) continue;
-    if (subregion_hematocrit(s, rbcs) >= floor_ht) continue;
+    for (std::size_t slot = cell_boxes.size(); slot < rbcs.size(); ++slot) {
+      cell_boxes.push_back(cells::bounds(rbcs.positions(slot)));
+    }
+    if (subregion_hematocrit(s, rbcs, cell_boxes) >= floor_ht) continue;
     ++report.subregions_refilled;
     if (!grid) grid.emplace(insertion_grid(rbcs));
     stamp_tile(subregions_[s], rbcs, tile, rng, next_id, *grid, report);

@@ -21,6 +21,7 @@
 /// the on-ramp and deform in the flow before they can reach the CTC.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/cells/cell_pool.hpp"
@@ -119,10 +120,6 @@ class Window {
   /// centroid containment) / flow volume of the window box.
   double hematocrit(const cells::CellPool& rbcs) const;
 
-  /// Hematocrit of one insertion subregion.
-  double subregion_hematocrit(std::size_t s,
-                              const cells::CellPool& rbcs) const;
-
   /// Remove cells whose centroid left the outer boundary ("cells that
   /// leave the window are removed once they cross the outer boundary").
   int remove_exited_cells(cells::CellPool& rbcs) const;
@@ -167,6 +164,10 @@ class Window {
   void build_subregions();
   void ensure_measure_regions(const cells::CellPool& rbcs) const;
   double box_fill(const Aabb& box) const;
+  /// Hematocrit of insertion subregion `s`; `cell_boxes[slot]` is
+  /// cells::bounds of cell `slot`, one box per cell of `rbcs`.
+  double subregion_hematocrit(std::size_t s, const cells::CellPool& rbcs,
+                              std::span<const Aabb> cell_boxes) const;
   bool cell_inside_domain(std::span<const Vec3> verts) const;
   /// Minimum vertex-vertex clearance for cells of radius `rmax`.
   double insertion_clearance(double rmax) const;

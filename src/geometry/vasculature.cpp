@@ -1,8 +1,11 @@
 #include "src/geometry/vasculature.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <numeric>
 #include <stdexcept>
 
 namespace apr::geometry {
@@ -24,6 +27,15 @@ double segment_sdf(const VesselSegment& s, const Vec3& p) {
   const double r = s.ra + t * (s.rb - s.ra);
   return r - distance(p, closest);
 }
+
+/// Segments per BVH leaf.
+constexpr int kLeafSize = 4;
+
+/// Relative slack on a node's bound. Rounding moves a computed
+/// segment_sdf from its exact value by a few ulp (~1e-15) of the largest
+/// magnitude involved (coordinates, radius, distance); 1e-10 covers that
+/// by orders of magnitude and prunes as well as the exact bound.
+constexpr double kBoundSlack = 1e-10;
 
 /// An arbitrary unit vector orthogonal to d.
 Vec3 orthogonal(const Vec3& d) {
@@ -52,6 +64,61 @@ Vasculature::Vasculature(std::vector<VesselSegment> segments)
     bounds_.include(s.a + Vec3{r, r, r});
     bounds_.include(s.b - Vec3{r, r, r});
     bounds_.include(s.b + Vec3{r, r, r});
+  }
+  build_bvh();
+}
+
+void Vasculature::build_bvh() {
+  // Median splits of the axis midpoints along their widest extent, so the
+  // depth stays within log2(segments) + 1.
+  const int n = static_cast<int>(segments_.size());
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0);
+  const auto mid = [this](int i) {
+    return (segments_[i].a + segments_[i].b) * 0.5;
+  };
+  struct Job {
+    int node, begin, end;
+  };
+  bvh_.assign(1, BvhNode{});
+  std::vector<Job> jobs{{0, 0, n}};
+  while (!jobs.empty()) {
+    const Job job = jobs.back();
+    jobs.pop_back();
+    BvhNode node;
+    Aabb mids;
+    for (int k = job.begin; k < job.end; ++k) {
+      const VesselSegment& s = segments_[order_[k]];
+      node.axes.include(s.a);
+      node.axes.include(s.b);
+      node.rmax = std::max({node.rmax, s.ra, s.rb});
+      mids.include(mid(order_[k]));
+    }
+    node.scale = std::max({node.rmax, std::abs(node.axes.lo.x),
+                           std::abs(node.axes.lo.y), std::abs(node.axes.lo.z),
+                           std::abs(node.axes.hi.x), std::abs(node.axes.hi.y),
+                           std::abs(node.axes.hi.z)});
+    if (job.end - job.begin <= kLeafSize) {
+      node.first = job.begin;
+      node.count = job.end - job.begin;
+    } else {
+      const Vec3 e = mids.extent();
+      const int axis = e.x >= e.y && e.x >= e.z ? 0 : (e.y >= e.z ? 1 : 2);
+      const auto key = [&](int i) {
+        const Vec3 m = mid(i);
+        return axis == 0 ? m.x : (axis == 1 ? m.y : m.z);
+      };
+      const int half = job.begin + (job.end - job.begin) / 2;
+      std::nth_element(order_.begin() + job.begin, order_.begin() + half,
+                       order_.begin() + job.end, [&](int i, int j) {
+                         return key(i) < key(j) || (key(i) == key(j) && i < j);
+                       });
+      node.first = static_cast<int>(bvh_.size());
+      bvh_.resize(bvh_.size() + 2);
+      jobs.push_back({node.first, job.begin, half});
+      jobs.push_back({node.first + 1, half, job.end});
+    }
+    bvh_[job.node] = node;
   }
 }
 
@@ -145,9 +212,51 @@ Vasculature Vasculature::upper_body_like(Rng& rng, double scale) {
 }
 
 double Vasculature::signed_distance(const Vec3& p) const {
+  // The max of the same segment_sdf doubles as a scan of every segment.
+  // A node is skipped only when its bound is strictly below `best`, so
+  // each skipped value is below `best` and could not have changed the max.
+  // A NaN bound compares false and is always visited, so a non-finite p
+  // evaluates every segment, as the scan does.
+  const double pmag = std::max({std::abs(p.x), std::abs(p.y), std::abs(p.z)});
+  // Upper bound on segment_sdf over a node's segments: no point of an axis
+  // lies closer to p than the axes' box, and no radius exceeds rmax.
+  const auto node_bound = [&p, pmag](const BvhNode& node) {
+    const Aabb& b = node.axes;
+    const double ox = std::max(std::max(b.lo.x - p.x, p.x - b.hi.x), 0.0);
+    const double oy = std::max(std::max(b.lo.y - p.y, p.y - b.hi.y), 0.0);
+    const double oz = std::max(std::max(b.lo.z - p.z, p.z - b.hi.z), 0.0);
+    const double d = std::sqrt(ox * ox + oy * oy + oz * oz);
+    return node.rmax - d + kBoundSlack * (node.scale + pmag + d);
+  };
   double best = -std::numeric_limits<double>::max();
-  for (const auto& s : segments_) {
-    best = std::max(best, segment_sdf(s, p));
+  struct Pending {
+    int node;
+    double bound;
+  };
+  // Depth <= log2(segments) + 1, and each level leaves one sibling pending.
+  std::array<Pending, 64> stack;
+  int top = 0;
+  stack[top++] = {0, node_bound(bvh_[0])};
+  while (top > 0) {
+    const Pending cur = stack[--top];
+    if (cur.bound < best) continue;
+    const BvhNode& node = bvh_[cur.node];
+    if (node.count > 0) {
+      for (int k = node.first; k < node.first + node.count; ++k) {
+        best = std::max(best, segment_sdf(segments_[order_[k]], p));
+      }
+      continue;
+    }
+    // Pop the child with the larger bound first: it raises `best` soonest.
+    const Pending l{node.first, node_bound(bvh_[node.first])};
+    const Pending r{node.first + 1, node_bound(bvh_[node.first + 1])};
+    if (l.bound > r.bound) {
+      stack[top++] = r;
+      stack[top++] = l;
+    } else {
+      stack[top++] = l;
+      stack[top++] = r;
+    }
   }
   return best;
 }
@@ -192,23 +301,6 @@ std::vector<Vec3> Vasculature::main_path(double step) const {
     cur = next[cur];
   }
   return path;
-}
-
-double Vasculature::local_radius(const Vec3& p) const {
-  double best_d = std::numeric_limits<double>::max();
-  double best_r = 0.0;
-  for (const auto& s : segments_) {
-    const Vec3 ab = s.b - s.a;
-    const double len2 = norm2(ab);
-    double t = len2 > 0.0 ? dot(p - s.a, ab) / len2 : 0.0;
-    t = std::clamp(t, 0.0, 1.0);
-    const double d = distance(p, s.a + ab * t);
-    if (d < best_d) {
-      best_d = d;
-      best_r = s.ra + t * (s.rb - s.ra);
-    }
-  }
-  return best_r;
 }
 
 }  // namespace apr::geometry

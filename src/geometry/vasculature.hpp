@@ -57,6 +57,9 @@ class Vasculature final : public Domain {
   /// style branches. Scale factor multiplies all lengths.
   static Vasculature upper_body_like(Rng& rng, double scale = 1.0);
 
+  /// Max of the per-segment capsule distances, found through a static
+  /// segment BVH built by the constructor. Bit-identical to the linear max
+  /// over every segment, in any traversal order (DESIGN.md §6).
   double signed_distance(const Vec3& p) const override;
   Aabb bounds() const override;
 
@@ -77,12 +80,24 @@ class Vasculature final : public Domain {
   /// in the Fig. 1 / Fig. 9 demonstrations.
   std::vector<Vec3> main_path(double step) const;
 
-  /// Local vessel radius at the point of the centerline nearest to p.
-  double local_radius(const Vec3& p) const;
-
  private:
+  /// BVH node: the box around its segments' axes (not their radii), their
+  /// largest radius, and either a leaf run of order_ (count > 0) or two
+  /// children at bvh_[first] and bvh_[first + 1] (count == 0).
+  struct BvhNode {
+    Aabb axes;
+    double rmax = 0.0;
+    double scale = 0.0;  ///< largest |coordinate| of `axes`, or rmax
+    int first = 0;
+    int count = 0;
+  };
+
+  void build_bvh();
+
   std::vector<VesselSegment> segments_;
   Aabb bounds_;
+  std::vector<BvhNode> bvh_;  ///< root at 0
+  std::vector<int> order_;    ///< segment indices, grouped by leaf
 };
 
 }  // namespace apr::geometry

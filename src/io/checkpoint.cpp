@@ -100,7 +100,7 @@ std::vector<std::uint32_t> Checkpoint::tags() const {
 }
 
 std::vector<char> Checkpoint::to_bytes() const {
-  BufWriter w;
+  BufWriter w(byte_size());
   w.pod(kMagic);
   w.pod(kFormatVersion);
   w.pod(static_cast<std::uint32_t>(sections_.size()));
@@ -262,6 +262,15 @@ void header(Io& io, State& st) {
   io.pod(st.site_updates);
   io.pod(st.default_tau);
 }
+
+/// Counts the bytes header() writes.
+struct ByteCount {
+  std::size_t n = 0;
+  template <typename T>
+  void pod(const T&) {
+    n += sizeof(T);
+  }
+};
 
 /// Node box [x0, x1) x [y0, y1) x [z0, z1) of a block, clipped to the box.
 struct BlockBox {
@@ -475,7 +484,11 @@ void LatticeState::apply(lbm::Lattice& lat) const {
 
 std::vector<char> LatticeState::serialize() const {
   check_layout(*this);
-  BufWriter w;
+  ByteCount head;
+  header(head, *this);
+  // check_layout guarantees one type entry per kept node.
+  BufWriter w(head.n + sizeof(std::uint32_t) * (1 + blocks.size()) +
+              kWireNodeBytes * type.size());
   header(w, *this);
   w.pod(static_cast<std::uint32_t>(blocks.size()));
   std::size_t s = 0;
@@ -602,7 +615,9 @@ void CellPoolState::apply(cells::CellPool& pool) const {
 }
 
 std::vector<char> CellPoolState::serialize() const {
-  BufWriter w;
+  BufWriter w(sizeof(nv) + sizeof(model_digest) +
+              3 * sizeof(std::uint64_t) + ids.size() * sizeof(ids[0]) +
+              (x.size() + v.size()) * sizeof(Vec3));
   w.pod(nv);
   w.pod(model_digest);
   w.vec(ids);

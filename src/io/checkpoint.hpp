@@ -80,6 +80,12 @@ class Fnv1a {
 /// checkpoints are not an interchange format).
 class BufWriter {
  public:
+  BufWriter() = default;
+  /// Reserve the final size up front when the caller knows it: one
+  /// allocation of the right size instead of a doubling series, which
+  /// costs copies and leaves free holes behind in the heap.
+  explicit BufWriter(std::size_t size) { buf_.reserve(size); }
+
   template <typename T>
   void pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);

@@ -157,11 +157,12 @@ std::vector<char> DistributedField::pack_halo(int owner, int receiver) const {
       break;
     }
   }
-  io::BufWriter w;
+  const std::size_t count = pp == nullptr ? 0 : pp->src_slots.size();
+  io::BufWriter w(3 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+                  count * sizeof(double));
   w.pod(static_cast<std::uint32_t>(owner));
   w.pod(static_cast<std::uint32_t>(receiver));
   w.pod(static_cast<std::uint32_t>(halo_));
-  const std::size_t count = pp == nullptr ? 0 : pp->src_slots.size();
   w.pod(static_cast<std::uint64_t>(count));
   if (pp != nullptr) {
     const TaskStore& src = stores_.at(owner);

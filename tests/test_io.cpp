@@ -396,6 +396,31 @@ TEST_F(IoTest, LatticeCheckpointRoundTrips) {
   }
 }
 
+TEST_F(IoTest, SerializedBuffersAreAllocatedAtTheirExactSize) {
+  // Each writer reserves its final size, so no doubling growth leaves
+  // slack capacity (or freed smaller buffers) behind.
+  lbm::Lattice lat(20, 12, 9, Vec3{}, 0.5, 0.9);
+  lbm::mark_box_walls(lat);
+  lat.init_equilibrium(1.0, Vec3{0.01, 0.0, 0.0});
+  const std::vector<char> lattice = LatticeState::capture(lat).serialize();
+  EXPECT_EQ(lattice.capacity(), lattice.size());
+
+  cells::CellPool pool(model_.get(), cells::CellKind::Rbc, 16);
+  const std::vector<char> empty = CellPoolState::capture(pool).serialize();
+  EXPECT_EQ(empty.capacity(), empty.size());
+  pool.add(3, cells::instantiate(*model_, Vec3{1, 2, 3}));
+  pool.add(9, cells::instantiate(*model_, Vec3{-4, 0, 2}));
+  const std::vector<char> cells = CellPoolState::capture(pool).serialize();
+  EXPECT_EQ(cells.capacity(), cells.size());
+
+  Checkpoint ckpt;
+  ckpt.add(kLatticeTag, lattice);
+  ckpt.add(kCellsTag, cells);
+  const std::vector<char> image = ckpt.to_bytes();
+  EXPECT_EQ(image.capacity(), image.size());
+  EXPECT_EQ(image.size(), ckpt.byte_size());
+}
+
 TEST_F(IoTest, LatticeCheckpointRoundTripsCollisionModel) {
   // The collision byte and TRT magic travel with the state, so a resumed
   // run replays with the operator it was saved under -- for all three

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -188,6 +190,156 @@ TEST(Window, MaintainedCellsNeverOverlapExisting) {
       grid.insert(x[v], pool.id(s), static_cast<int>(v));
     }
   }
+}
+
+/// maintain() with every subregion reading recomputing cells::bounds of
+/// every cell, and the refills it made: subregion and first added slot.
+/// `rescued` counts the subregions skipped only because of cells added
+/// earlier in the pass. No domain, so every fill is 1 and no stamped cell
+/// meets a wall.
+struct ReferencePass {
+  PopulationReport report;
+  std::vector<std::size_t> refilled;
+  std::vector<std::size_t> first_slot;
+  int rescued = 0;
+};
+
+ReferencePass reference_maintain(const Window& w, cells::CellPool& rbcs,
+                                 const cells::RbcTile& tile, Rng& rng,
+                                 std::uint64_t& next_id) {
+  ReferencePass out;
+  out.report.removed_outside = w.remove_exited_cells(rbcs);
+  const WindowConfig& cfg = w.config();
+  const double floor_ht = cfg.repopulation_threshold * cfg.target_hematocrit;
+  const double rmax = rbcs.model().max_radius();
+  const double nv = static_cast<double>(rbcs.vertices_per_cell());
+  // Hematocrit of the measure box of subregion `s` over slots [0, end).
+  const auto reading = [&](std::size_t s, std::size_t end) {
+    const Aabb box = w.subregions()[s].inflated(rmax).intersect(w.outer_box());
+    double cell_volume = 0.0;
+    for (std::size_t slot = 0; slot < end; ++slot) {
+      const auto x = rbcs.positions(slot);
+      if (!box.overlaps(cells::bounds(x))) continue;
+      int inside = 0;
+      for (const Vec3& v : x) inside += box.contains(v) ? 1 : 0;
+      if (inside > 0) cell_volume += rbcs.model().ref_volume() * (inside / nv);
+    }
+    return cell_volume / box.volume();
+  };
+  std::optional<cells::SubGrid> grid;
+  for (std::size_t s = 0; s < w.subregions().size(); ++s) {
+    const Aabb& sub = w.subregions()[s];
+    if (reading(s, rbcs.size()) >= floor_ht) {
+      if (!out.first_slot.empty() &&
+          reading(s, out.first_slot.front()) < floor_ht) {
+        ++out.rescued;
+      }
+      continue;
+    }
+    ++out.report.subregions_refilled;
+    out.refilled.push_back(s);
+    out.first_slot.push_back(rbcs.size());
+    if (!grid) grid.emplace(w.insertion_grid(rbcs));
+    const Mat3 rot = random_rotation(rng);
+    const double jitter = tile.side() * 0.1;
+    const Vec3 center =
+        sub.center() + Vec3{rng.uniform(-jitter, jitter),
+                            rng.uniform(-jitter, jitter),
+                            rng.uniform(-jitter, jitter)};
+    std::vector<cells::Candidate> candidates;
+    for (auto& verts : tile.instantiate_at(rbcs.model(), center, rot)) {
+      if (!sub.contains(cells::centroid(verts))) continue;
+      candidates.push_back({next_id++, std::move(verts)});
+    }
+    const int stamped = static_cast<int>(candidates.size());
+    const int added = w.insert_cells(std::move(candidates), *grid, rbcs);
+    out.report.rejected_overlap += stamped - added;
+    out.report.added += added;
+  }
+  return out;
+}
+
+TEST(Window, MaintainSeesCellsStampedEarlierInThePass) {
+  // A populated window with the cells of two neighbouring subregions
+  // removed: one maintain pass refills both, and the cells stamped for the
+  // first reach into the second's measure box. The pass reuses one box
+  // per cell, extended as refills append cells; it must match the
+  // reference that recomputes every box for every subregion, bit for bit.
+  const auto rbc = unit_rbc();
+  const WindowConfig cfg = small_config();
+  const Window w({0, 0, 0}, cfg, nullptr);
+  Rng tile_rng(1);
+  const cells::RbcTile tile =
+      cells::RbcTile::generate(*rbc, 6.0, cfg.target_hematocrit * 1.3,
+                               tile_rng);
+  const double rmax = rbc->max_radius();
+  const auto depleted_window = [&](cells::CellPool& pool,
+                                   std::uint64_t& next_id) {
+    Rng rng(13);
+    w.populate(pool, tile, rng, next_id);
+    std::vector<std::uint64_t> doomed;
+    for (std::size_t slot = 0; slot < pool.size(); ++slot) {
+      const Vec3 c = pool.cell_centroid(slot);
+      if (w.subregions()[0].contains(c) || w.subregions()[1].contains(c)) {
+        doomed.push_back(pool.id(slot));
+      }
+    }
+    for (const auto id : doomed) pool.remove(id);
+  };
+
+  cells::CellPool pool(rbc.get(), cells::CellKind::Rbc, 2500);
+  std::uint64_t next_id = 1;
+  depleted_window(pool, next_id);
+  cells::CellPool ref_pool(rbc.get(), cells::CellKind::Rbc, 2500);
+  std::uint64_t ref_next_id = 1;
+  depleted_window(ref_pool, ref_next_id);
+  ASSERT_EQ(pool.size(), ref_pool.size());
+
+  Rng rng(17);
+  const PopulationReport rep = w.maintain(pool, tile, rng, next_id);
+  Rng ref_rng(17);
+  const ReferencePass ref =
+      reference_maintain(w, ref_pool, tile, ref_rng, ref_next_id);
+
+  // The scenario: subregions 0 and 1 refill in that order, and a cell
+  // added for 0 overlaps 1's measure box.
+  ASSERT_GE(ref.refilled.size(), 2u);
+  EXPECT_EQ(ref.refilled[0], 0u);
+  EXPECT_EQ(ref.refilled[1], 1u);
+  const Aabb measure1 =
+      w.subregions()[1].inflated(rmax).intersect(w.outer_box());
+  bool reaches = false;
+  for (std::size_t slot = ref.first_slot[0]; slot < ref.first_slot[1];
+       ++slot) {
+    reaches |= measure1.overlaps(cells::bounds(ref_pool.positions(slot)));
+  }
+  EXPECT_TRUE(reaches);
+  // And some subregion reads above the floor only with the cells stamped
+  // earlier in the pass, so a pass blind to them would refill it.
+  EXPECT_GT(ref.rescued, 0);
+
+  EXPECT_EQ(rep.added, ref.report.added);
+  EXPECT_EQ(rep.rejected_overlap, ref.report.rejected_overlap);
+  EXPECT_EQ(rep.rejected_wall, ref.report.rejected_wall);
+  EXPECT_EQ(rep.removed_outside, ref.report.removed_outside);
+  EXPECT_EQ(rep.subregions_refilled, ref.report.subregions_refilled);
+  EXPECT_EQ(next_id, ref_next_id);
+  ASSERT_EQ(pool.size(), ref_pool.size());
+  std::size_t differing = 0;
+  for (std::size_t slot = 0; slot < pool.size(); ++slot) {
+    EXPECT_EQ(pool.id(slot), ref_pool.id(slot));
+    const auto x = pool.positions(slot);
+    const auto y = ref_pool.positions(slot);
+    for (std::size_t v = 0; v < x.size(); ++v) {
+      differing += std::bit_cast<std::uint64_t>(x[v].x) !=
+                       std::bit_cast<std::uint64_t>(y[v].x) ||
+                   std::bit_cast<std::uint64_t>(x[v].y) !=
+                       std::bit_cast<std::uint64_t>(y[v].y) ||
+                   std::bit_cast<std::uint64_t>(x[v].z) !=
+                       std::bit_cast<std::uint64_t>(y[v].z);
+    }
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 TEST(Window, DomainRestrictsInsertion) {
