@@ -22,10 +22,6 @@ constexpr std::size_t kNoHit = std::numeric_limits<std::size_t>::max();
 /// D3Q19 speed of sound, cs = 1/sqrt(3).
 const double kInvCs = std::sqrt(3.0);
 
-bool finite(const Vec3& v) {
-  return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
-}
-
 /// First violation found by one scan chunk; combined in ascending chunk
 /// order so the first offending index in scan order wins for any worker
 /// count. The lattice scan walks resident tiles in directory (block-id)

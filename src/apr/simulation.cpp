@@ -8,7 +8,6 @@
 
 #include "src/cells/cell.hpp"
 #include "src/cells/overlap.hpp"
-#include "src/cells/subgrid.hpp"
 #include "src/common/log.hpp"
 #include "src/exec/exec.hpp"
 #include "src/geometry/voxelizer.hpp"
@@ -56,70 +55,105 @@ std::vector<std::span<T>> pool_blocks(
   return blocks;
 }
 
+/// Cells per chunk of the force pass: small, so the dynamic schedule can
+/// balance cells whose contact and wall work differ widely.
+constexpr std::size_t kForceGrain = 8;
+
+/// Relative slack on the wall-cull bound, as in the vessel BVH's bound:
+/// rounding moves a computed signed distance by a few ulp of the
+/// magnitudes involved, which 1e-10 of them covers many times over.
+constexpr double kWallCullSlack = 1e-10;
+
+/// Decides per cell whether the wall term can be skipped. With L the
+/// domain's Lipschitz bound, every vertex v of a cell satisfies
+/// sd(v) >= sd(c) - L |v - c| >= sd(c) - L R, where c is the centre of the
+/// cell's box and R its largest vertex distance from c. When that bound
+/// (less the slack) reaches the cutoff, no vertex gets a wall force, so
+/// skipping its vertex loop changes no bit. A NaN anywhere, or L = +inf,
+/// fails the comparison and keeps the loop.
+class WallCull {
+ public:
+  WallCull(const geometry::Domain& domain, double cutoff)
+      : domain_(domain),
+        lipschitz_(domain.distance_lipschitz()),
+        scale_(domain.bounds().magnitude()),
+        cutoff_(cutoff) {}
+
+  bool clear(std::span<const Vec3> x) const {
+    if (!std::isfinite(lipschitz_)) return false;
+    const Vec3 c = cells::bounds(x).center();
+    double r2 = 0.0;
+    for (const Vec3& v : x) {
+      const double d2 = norm2(v - c);
+      if (d2 > r2 || std::isnan(d2)) r2 = d2;  // a NaN sticks
+    }
+    const double reach = lipschitz_ * std::sqrt(r2);
+    const double sd = domain_.signed_distance(c);
+    const double slack = kWallCullSlack * (std::abs(sd) + reach + scale_ +
+                                           Aabb{c, c}.magnitude());
+    return sd - reach - slack >= cutoff_;
+  }
+
+ private:
+  const geometry::Domain& domain_;
+  double lipschitz_;
+  double scale_;
+  double cutoff_;
+};
+
 }  // namespace
 
-void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
-                         const geometry::Domain* domain,
-                         const FsiParams& params) {
+std::size_t compute_cell_forces(const std::vector<cells::CellPool*>& pools,
+                                const geometry::Domain* domain,
+                                const FsiParams& params) {
   for (cells::CellPool* pool : pools) pool->clear_forces();
   const std::vector<CellRef> refs = flatten_cells(pools);
 
-  // Membrane FEM forces: cells are independent (each writes only its own
-  // force block, which clear_forces just zeroed), so assembly runs in
-  // place and parallelizes per cell across the pools.
-  exec::parallel_for(refs.size(), [&](std::size_t k) {
-    refs[k].pool->model().add_forces(refs[k].pool->positions(refs[k].slot),
-                                     refs[k].pool->forces(refs[k].slot));
-  });
-
-  // Cell-cell contact (the subgrid build stays serial -- hash inserts --
-  // but the pair search parallelizes per cell inside add_contact_forces).
-  if (params.contact_cutoff > 0.0 && params.contact_strength > 0.0 &&
-      !refs.empty()) {
-    // A centroid poisoned by an upstream numerical fault would make the
-    // grid bounds invalid (SubGrid throws); leave such cells out so the
-    // step completes and the health watchdog can localize the fault.
-    Aabb all;
-    for (const CellRef& r : refs) {
-      const Vec3 c = r.pool->cell_centroid(r.slot);
-      if (std::isfinite(c.x) && std::isfinite(c.y) && std::isfinite(c.z)) {
-        all.include(c);
-      }
+  // Cell-level preparation: per-cell boxes, the contact frame and the
+  // broad phase over box centres. Cells with a non-finite vertex stay out
+  // of the contact search, so the step completes and the health watchdog
+  // can localize the fault.
+  std::optional<cells::ContactSearch> contact;
+  std::optional<WallCull> wall;
+  {
+    OBS_SPAN("forces", "prepare");
+    if (params.contact_cutoff > 0.0 && params.contact_strength > 0.0 &&
+        !refs.empty()) {
+      contact.emplace(pools, params.contact_cutoff);
     }
-    if (all.valid()) {
-      const double rmax = pools.front()->model().max_radius();
-      const Aabb box = all.inflated(2.0 * rmax + params.contact_cutoff);
-      const double spacing = std::max(params.contact_cutoff, rmax / 2.0);
-      // The calling thread's grid is re-dimensioned in place every call,
-      // so its buffers are allocated once, not once per sub-step.
-      static thread_local std::optional<cells::SubGrid> grid;
-      if (grid) {
-        grid->reset(box, spacing);
-      } else {
-        grid.emplace(box, spacing);
-      }
-      std::vector<const cells::CellPool*> cpools(pools.begin(), pools.end());
-      cells::fill_subgrid(*grid, cpools);
-      cells::add_contact_forces(pools, params.contact_cutoff,
-                                params.contact_strength, *grid);
+    if (domain && params.wall_cutoff > 0.0 && params.wall_strength > 0.0) {
+      wall.emplace(*domain, params.wall_cutoff);
     }
   }
 
-  // Wall repulsion: per-cell independent, same decomposition.
-  if (domain && params.wall_cutoff > 0.0 && params.wall_strength > 0.0) {
-    const double eps = params.wall_cutoff / 4.0;
-    exec::parallel_for(refs.size(), [&](std::size_t k) {
-      const auto x = refs[k].pool->positions(refs[k].slot);
-      const auto f = refs[k].pool->forces(refs[k].slot);
-      for (std::size_t v = 0; v < x.size(); ++v) {
-        const double d = domain->signed_distance(x[v]);
-        if (d >= params.wall_cutoff) continue;
-        const double pen = 1.0 - std::max(d, 0.0) / params.wall_cutoff;
-        f[v] += domain->inward_normal(x[v], eps) *
-                (params.wall_strength * pen * pen);
-      }
-    });
-  }
+  // One pass over cells: membrane, then contact, then wall repulsion, the
+  // order each vertex's force has always been summed in. A cell writes
+  // only its own force block (clear_forces just zeroed it, so membrane
+  // assembly runs in place) and reads other cells' positions, so cells
+  // run in any order; the dynamic schedule evens out their uneven costs.
+  OBS_SPAN("forces", "cells");
+  const double eps = params.wall_cutoff / 4.0;
+  return exec::parallel_reduce<std::size_t>(
+      refs.size(), 0,
+      [&](std::size_t b, std::size_t e) {
+        std::size_t pairs = 0;
+        for (std::size_t k = b; k < e; ++k) {
+          const auto x = refs[k].pool->positions(refs[k].slot);
+          const auto f = refs[k].pool->forces(refs[k].slot);
+          refs[k].pool->model().add_forces(x, f);
+          if (contact) pairs += contact->add_forces(k, params.contact_strength);
+          if (!wall || wall->clear(x)) continue;
+          for (std::size_t v = 0; v < x.size(); ++v) {
+            const double d = domain->signed_distance(x[v]);
+            if (d >= params.wall_cutoff) continue;
+            const double pen = 1.0 - std::max(d, 0.0) / params.wall_cutoff;
+            f[v] += domain->inward_normal(x[v], eps) *
+                    (params.wall_strength * pen * pen);
+          }
+        }
+        return pairs;
+      },
+      [](std::size_t a, std::size_t b) { return a + b; }, kForceGrain);
 }
 
 void spread_cell_forces(lbm::Lattice& lat, const UnitConverter& conv,

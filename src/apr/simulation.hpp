@@ -45,9 +45,13 @@ struct FsiParams {
 
 /// Accumulate membrane (FEM), cell-cell contact and wall repulsion forces
 /// in SI units into the pools' force buffers (which are cleared first).
-void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
-                         const geometry::Domain* domain,
-                         const FsiParams& params);
+/// One dynamically scheduled pass over cells; each vertex sums membrane,
+/// then contact, then wall terms (DESIGN.md §6). A cell with a non-finite
+/// vertex gets no contact term and gives none. Returns the number of
+/// interacting contact vertex pairs.
+std::size_t compute_cell_forces(const std::vector<cells::CellPool*>& pools,
+                                const geometry::Domain* domain,
+                                const FsiParams& params);
 
 /// Spread the pools' SI force buffers onto the lattice force field,
 /// converting with `conv` (must match the lattice spacing).

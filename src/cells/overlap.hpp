@@ -11,6 +11,7 @@
 /// during the simulation.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,11 +54,49 @@ int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& background,
 void fill_subgrid(SubGrid& grid,
                   const std::vector<const CellPool*>& pools);
 
-/// Short-range soft-sphere repulsion between vertices of *different* cells:
-///   F = k (1 - d/cutoff)^2 * d_hat   for d < cutoff.
-/// Accumulated into each pool's force buffers. Returns the number of
-/// interacting pairs (diagnostics).
-std::size_t add_contact_forces(std::vector<CellPool*> pools, double cutoff,
-                               double strength, const SubGrid& grid);
+/// Short-range soft-sphere repulsion between vertices of cells with
+/// different ids:
+///   F = k (1 - d/cutoff)^2 * d_hat   for 0 < d < cutoff.
+/// One search serves one force evaluation. The constructor takes the live
+/// cells of `pools` (cell k is the k-th in pool order, then slot order)
+/// and prepares the cell-level broad phase; add_forces(k) then gathers the
+/// neighbour vertices near cell k and adds its contact force.
+///
+/// A cell with a non-finite centroid (so every cell with a non-finite
+/// vertex) stays out of the search, as source and as target: the step
+/// completes and every other cell's force is what it would be without it.
+///
+/// Order contract (DESIGN.md §6): a vertex sums its partners in the order
+/// a SubGrid over every vertex would visit them -- ascending bucket of the
+/// frame below, then insertion (pool, slot, vertex) order. The frame is
+/// the box of finite centroids inflated by 2 rmax + cutoff with spacing
+/// max(cutoff, rmax / 2), rmax being the first pool's model radius. It
+/// only orders the sums; no bucket array is allocated for it.
+class ContactSearch {
+ public:
+  /// Throws std::invalid_argument when the frame would need more than
+  /// 2^30 buckets (a cell flung far from the rest).
+  ContactSearch(const std::vector<CellPool*>& pools, double cutoff);
+
+  /// Add the contact force on every vertex of cell k to its force block
+  /// and return the number of interacting vertex pairs. Writes only cell
+  /// k's forces, so distinct cells may run concurrently.
+  std::size_t add_forces(std::size_t k, double strength) const;
+
+ private:
+  struct Cell {
+    CellPool* pool;
+    std::size_t slot;
+    std::uint64_t id;
+    std::size_t first;  ///< insertion index of its first vertex
+    Aabb box;           ///< vertex box; invalid when out of the search
+  };
+
+  double cutoff_;
+  std::vector<Cell> cells_;
+  std::optional<GridFrame> frame_;  ///< empty: no cell is in the search
+  std::optional<SubGrid> centres_;  ///< box centres of the searched cells
+  double reach_ = 0.0;  ///< centre distance bound of boxes within cutoff
+};
 
 }  // namespace apr::cells

@@ -26,13 +26,9 @@ int axis_bucket(double r, int n) {
 
 }  // namespace
 
-SubGrid::SubGrid(const Aabb& bounds, double spacing) {
-  reset(bounds, spacing);
-}
-
-void SubGrid::reset(const Aabb& bounds, double spacing) {
-  if (!bounds.valid()) throw std::invalid_argument("SubGrid: invalid bounds");
-  if (spacing <= 0.0) throw std::invalid_argument("SubGrid: spacing <= 0");
+GridFrame::GridFrame(const Aabb& bounds, double spacing) {
+  if (!bounds.valid()) throw std::invalid_argument("GridFrame: invalid bounds");
+  if (spacing <= 0.0) throw std::invalid_argument("GridFrame: spacing <= 0");
   const Vec3 e = bounds.extent();
   const Vec3 n{std::max(1.0, std::ceil(e.x / spacing)),
                std::max(1.0, std::ceil(e.y / spacing)),
@@ -40,44 +36,31 @@ void SubGrid::reset(const Aabb& bounds, double spacing) {
   // Checked in floating point: a bounds box stretched by a runaway vertex
   // must fail here, not overflow the int casts or the allocator.
   if (!(n.x * n.y * n.z <= kMaxBuckets)) {
-    throw std::invalid_argument("SubGrid: too many buckets");
+    throw std::invalid_argument("GridFrame: too many buckets");
   }
   bounds_ = bounds;
   spacing_ = spacing;
   nx_ = static_cast<int>(n.x);
   ny_ = static_cast<int>(n.y);
   nz_ = static_cast<int>(n.z);
-  const std::size_t nb = static_cast<std::size_t>(nx_) * ny_ * nz_;
-  head_.assign(nb, -1);
-  tail_.assign(nb, -1);
-  nodes_.clear();
 }
 
-void SubGrid::clear() {
-  std::fill(head_.begin(), head_.end(), -1);
-  std::fill(tail_.begin(), tail_.end(), -1);
-  nodes_.clear();
-}
-
-void SubGrid::bucket_coords(const Vec3& p, int* out) const {
+void GridFrame::coords(const Vec3& p, int* out) const {
   const Vec3 r = (p - bounds_.lo) / spacing_;
   out[0] = axis_bucket(r.x, nx_);
   out[1] = axis_bucket(r.y, ny_);
   out[2] = axis_bucket(r.z, nz_);
 }
 
-void SubGrid::bucket_range(const Vec3& p, double radius, int* lo,
-                           int* hi) const {
-  const Vec3 pl = p - Vec3{radius, radius, radius};
-  const Vec3 ph = p + Vec3{radius, radius, radius};
-  bucket_coords(pl, lo);
-  bucket_coords(ph, hi);
-}
+SubGrid::SubGrid(const Aabb& bounds, double spacing)
+    : frame_(bounds, spacing),
+      head_(frame_.buckets(), -1),
+      tail_(frame_.buckets(), -1) {}
 
 void SubGrid::insert(const Vec3& p, std::uint64_t cell_id, int vertex) {
   int c[3];
-  bucket_coords(p, c);
-  const std::size_t b = bucket_index(c[0], c[1], c[2]);
+  frame_.coords(p, c);
+  const std::size_t b = frame_.index(c[0], c[1], c[2]);
   const auto k = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back({{p, cell_id, vertex}, -1});
   if (tail_[b] < 0) {

@@ -6,6 +6,7 @@
 /// nested AABBs, so most region queries reduce to containment tests here.
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/common/vec3.hpp"
@@ -61,6 +62,13 @@ struct Aabb {
   }
 
   constexpr Aabb shifted(const Vec3& d) const { return {lo + d, hi + d}; }
+
+  /// Largest |coordinate| of the corners: the scale a rounding slack on
+  /// distances inside the box grows with.
+  double magnitude() const {
+    return std::max({std::abs(lo.x), std::abs(lo.y), std::abs(lo.z),
+                     std::abs(hi.x), std::abs(hi.y), std::abs(hi.z)});
+  }
 
   /// Extend to include point `p`.
   void include(const Vec3& p) {

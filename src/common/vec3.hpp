@@ -80,6 +80,11 @@ inline Vec3 normalized(const Vec3& a) {
 
 inline double distance(const Vec3& a, const Vec3& b) { return norm(a - b); }
 
+/// True when no component is NaN or infinite.
+inline bool finite(const Vec3& a) {
+  return std::isfinite(a.x) && std::isfinite(a.y) && std::isfinite(a.z);
+}
+
 /// Componentwise min/max, used by bounding-box accumulation.
 constexpr Vec3 cwise_min(const Vec3& a, const Vec3& b) {
   return {a.x < b.x ? a.x : b.x, a.y < b.y ? a.y : b.y,

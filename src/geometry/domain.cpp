@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace apr::geometry {
@@ -100,6 +101,11 @@ double ExpandingChannelDomain::signed_distance(const Vec3& p) const {
   if (!capped_) return radial;
   const double axial = std::min(z, length_ - z);
   return std::min(radial, axial);
+}
+
+double ExpandingChannelDomain::distance_lipschitz() const {
+  if (transition_ <= 0.0) return std::numeric_limits<double>::infinity();
+  return 1.0 + std::abs(r_out_ - r_in_) / transition_;
 }
 
 Aabb ExpandingChannelDomain::bounds() const {

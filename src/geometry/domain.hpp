@@ -8,6 +8,7 @@
 /// are replaced by the procedural Vasculature (vasculature.hpp), see
 /// DESIGN.md §3.
 
+#include <limits>
 #include <memory>
 
 #include "src/common/aabb.hpp"
@@ -26,6 +27,14 @@ class Domain {
   /// Tight axis-aligned bound of the flow region.
   virtual Aabb bounds() const = 0;
 
+  /// A bound L with signed_distance(p) >= signed_distance(q) - L |p - q|
+  /// for all p, q, which lets a caller clear a whole ball with one query.
+  /// +inf (the default) promises nothing, so such a domain is never
+  /// cleared that way.
+  virtual double distance_lipschitz() const {
+    return std::numeric_limits<double>::infinity();
+  }
+
   bool inside(const Vec3& p) const { return signed_distance(p) > 0.0; }
 
   /// Inward-pointing unit normal estimated by central differences of the
@@ -39,6 +48,8 @@ class BoxDomain final : public Domain {
   explicit BoxDomain(const Aabb& box) : box_(box) {}
   double signed_distance(const Vec3& p) const override;
   Aabb bounds() const override { return box_; }
+  /// A min of face distances, each 1-Lipschitz.
+  double distance_lipschitz() const override { return 1.0; }
 
  private:
   Aabb box_;
@@ -54,6 +65,8 @@ class TubeDomain final : public Domain {
              double radius, bool capped = true);
   double signed_distance(const Vec3& p) const override;
   Aabb bounds() const override;
+  /// Radius minus axis distance, and the axial distances: each 1-Lipschitz.
+  double distance_lipschitz() const override { return 1.0; }
 
   double radius() const { return radius_; }
   double length() const { return length_; }
@@ -84,6 +97,10 @@ class ExpandingChannelDomain final : public Domain {
                          double transition, bool capped = true);
   double signed_distance(const Vec3& p) const override;
   Aabb bounds() const override;
+  /// 1 + |r_out - r_in| / transition (the radius slope adds to the radial
+  /// distance's 1); +inf for a zero-length transition, where the radius
+  /// jumps.
+  double distance_lipschitz() const override;
 
   /// Channel radius at axial position z (measured from the base).
   double radius_at(double z) const;

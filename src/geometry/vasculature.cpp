@@ -64,6 +64,11 @@ Vasculature::Vasculature(std::vector<VesselSegment> segments)
     bounds_.include(s.a + Vec3{r, r, r});
     bounds_.include(s.b - Vec3{r, r, r});
     bounds_.include(s.b + Vec3{r, r, r});
+    // A zero-length segment is a sphere of radius ra: slope 0.
+    const double len = s.length();
+    if (len > 0.0) {
+      lipschitz_ = std::max(lipschitz_, 1.0 + std::abs(s.rb - s.ra) / len);
+    }
   }
   build_bvh();
 }
@@ -94,10 +99,7 @@ void Vasculature::build_bvh() {
       node.rmax = std::max({node.rmax, s.ra, s.rb});
       mids.include(mid(order_[k]));
     }
-    node.scale = std::max({node.rmax, std::abs(node.axes.lo.x),
-                           std::abs(node.axes.lo.y), std::abs(node.axes.lo.z),
-                           std::abs(node.axes.hi.x), std::abs(node.axes.hi.y),
-                           std::abs(node.axes.hi.z)});
+    node.scale = std::max(node.rmax, node.axes.magnitude());
     if (job.end - job.begin <= kLeafSize) {
       node.first = job.begin;
       node.count = job.end - job.begin;

@@ -62,6 +62,11 @@ class Vasculature final : public Domain {
   /// over every segment, in any traversal order (DESIGN.md §6).
   double signed_distance(const Vec3& p) const override;
   Aabb bounds() const override;
+  /// 1 + the largest radius slope |rb - ra| / length over the segments:
+  /// a tapered capsule's distance is the axis distance (1-Lipschitz) taken
+  /// from a radius that moves by at most that slope per unit move of p.
+  /// Computed by the constructor.
+  double distance_lipschitz() const override { return lipschitz_; }
 
   /// Restrict the reported bounds (and hence any lattice built from this
   /// domain) to `box`: vessels that extend past the box then cross the
@@ -96,6 +101,7 @@ class Vasculature final : public Domain {
 
   std::vector<VesselSegment> segments_;
   Aabb bounds_;
+  double lipschitz_ = 1.0;
   std::vector<BvhNode> bvh_;  ///< root at 0
   std::vector<int> order_;    ///< segment indices, grouped by leaf
 };

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numbers>
+#include <vector>
 
+#include "src/common/rng.hpp"
+#include "src/geometry/vasculature.hpp"
 #include "src/geometry/voxelizer.hpp"
 
 namespace apr::geometry {
@@ -142,6 +148,106 @@ TEST(TubeDomain, UncappedIgnoresAxialEnds) {
   EXPECT_TRUE(open.inside({0, 0, -5.0}));
   EXPECT_TRUE(open.inside({0, 0, 50.0}));
   EXPECT_FALSE(open.inside({3.0, 0, 5.0}));
+}
+
+/// Checks sd(p) >= sd(q) - L |p - q| for each q and a seeded p within
+/// `step` of it, up to rounding, and returns the worst ratio
+/// (sd(q) - sd(p)) / |p - q| seen.
+double worst_lipschitz_ratio(const Domain& d, const std::vector<Vec3>& qs,
+                             double step, Rng& rng) {
+  const double lip = d.distance_lipschitz();
+  const double scale = d.bounds().magnitude();
+  double worst = 0.0;
+  for (const Vec3& q : qs) {
+    const Vec3 p = q + rng.unit_vector() * rng.uniform(1e-3 * step, step);
+    const double dist = distance(p, q);
+    const double sp = d.signed_distance(p);
+    const double sq = d.signed_distance(q);
+    EXPECT_GE(sp, sq - lip * dist - 1e-12 * scale) << p << " " << q;
+    worst = std::max(worst, (sq - sp) / dist);
+  }
+  return worst;
+}
+
+/// Points in the domain's box within `band` of its wall.
+std::vector<Vec3> near_wall(const Domain& d, double band, Rng& rng) {
+  const Aabb b = d.bounds().inflated(band);
+  std::vector<Vec3> out;
+  while (out.size() < 4000) {
+    const Vec3 q = rng.point_in_box(b.lo, b.hi);
+    if (std::abs(d.signed_distance(q)) < band) out.push_back(q);
+  }
+  return out;
+}
+
+/// Points near the tapered walls of a vessel tree: a random segment, axis
+/// position and direction, at 0.8-1.2 times the local radius.
+std::vector<Vec3> near_vessel_walls(const Vasculature& v, Rng& rng) {
+  std::vector<Vec3> out;
+  const auto& segs = v.segments();
+  for (int i = 0; i < 4000; ++i) {
+    const VesselSegment& s =
+        segs[static_cast<std::size_t>(rng.uniform() * segs.size()) %
+             segs.size()];
+    const double t = rng.uniform();
+    const Vec3 axis = s.a + (s.b - s.a) * t;
+    const Vec3 dir = normalized(s.b - s.a);
+    Vec3 u = rng.unit_vector();
+    u = normalized(u - dir * dot(u, dir));
+    const double r = s.ra + t * (s.rb - s.ra);
+    out.push_back(axis + u * (r * rng.uniform(0.8, 1.2)));
+  }
+  return out;
+}
+
+TEST(Domain, SignedDistanceLipschitzBoundHolds) {
+  Rng rng(2211);
+  const BoxDomain box(Aabb{{-1.0, -2.0, 0.0}, {3.0, 1.0, 2.5}});
+  EXPECT_EQ(box.distance_lipschitz(), 1.0);
+  EXPECT_LE(worst_lipschitz_ratio(box, near_wall(box, 0.3, rng), 0.5, rng),
+            1.0 + 1e-12);
+  for (const bool capped : {true, false}) {
+    const TubeDomain tube({0.5, 0.0, -1.0}, {0.3, 0.2, 1.0}, 6.0, 1.5,
+                          capped);
+    EXPECT_EQ(tube.distance_lipschitz(), 1.0);
+    EXPECT_LE(
+        worst_lipschitz_ratio(tube, near_wall(tube, 0.3, rng), 0.5, rng),
+        1.0 + 1e-12);
+  }
+  const ExpandingChannelDomain channel({0, 0, 0}, 10.0, 1.0, 2.0, 3.0, 2.0);
+  EXPECT_DOUBLE_EQ(channel.distance_lipschitz(), 1.5);
+  const double channel_worst = worst_lipschitz_ratio(
+      channel, near_wall(channel, 0.3, rng), 0.5, rng);
+  EXPECT_LE(channel_worst, 1.5);
+  EXPECT_GT(channel_worst, 1.0);  // the taper is felt
+
+  for (const bool cerebral : {true, false}) {
+    Rng tree_rng(cerebral ? 23 : 29);
+    const Vasculature v = cerebral ? Vasculature::cerebral_like(tree_rng)
+                                   : Vasculature::upper_body_like(tree_rng);
+    const double lip = v.distance_lipschitz();
+    EXPECT_GT(lip, 1.0);
+    EXPECT_LT(lip, 1.1);
+    double rmin = std::numeric_limits<double>::max();
+    for (const auto& s : v.segments()) rmin = std::min({rmin, s.ra, s.rb});
+    EXPECT_LE(worst_lipschitz_ratio(v, near_vessel_walls(v, rng), rmin, rng),
+              lip);
+  }
+}
+
+TEST(Domain, LipschitzBoundIsInfiniteWithoutAPromise) {
+  // A zero-length transition is a step in the radius.
+  const ExpandingChannelDomain step({0, 0, 0}, 10.0, 1.0, 2.0, 3.0, 0.0);
+  EXPECT_EQ(step.distance_lipschitz(),
+            std::numeric_limits<double>::infinity());
+  struct Ball final : Domain {
+    double signed_distance(const Vec3& p) const override {
+      return 1.0 - norm(p);
+    }
+    Aabb bounds() const override { return Aabb::cube({}, 2.0); }
+  };
+  EXPECT_EQ(Ball{}.distance_lipschitz(),
+            std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

@@ -141,34 +141,6 @@ TEST_F(OverlapTest, AddNonoverlappingAddsSurvivorsInIdOrderAndGrowsGrid) {
   EXPECT_EQ(grid.size(), 4u * 42u);
 }
 
-TEST_F(OverlapTest, ContactForcesPushApartAndConserveMomentum) {
-  CellPool pool(model_.get(), CellKind::Rbc, 4);
-  pool.add(1, instantiate(*model_, Vec3{0, 0, 0}));
-  pool.add(2, instantiate(*model_, Vec3{2.2, 0, 0}));  // slightly separated
-  SubGrid grid(region_, 1.0);
-  fill_subgrid(grid, {&pool});
-  const std::size_t pairs = add_contact_forces({&pool}, 0.5, 1.0, grid);
-  EXPECT_GT(pairs, 0u);
-  // Net force on cell 1 points -x, on cell 2 +x; totals cancel.
-  Vec3 f1{}, f2{};
-  for (const auto& f : pool.forces(0)) f1 += f;
-  for (const auto& f : pool.forces(1)) f2 += f;
-  EXPECT_LT(f1.x, 0.0);
-  EXPECT_GT(f2.x, 0.0);
-  EXPECT_NEAR(norm(f1 + f2), 0.0, 1e-9 * norm(f1));
-}
-
-TEST_F(OverlapTest, ContactForcesIgnoreSameCell) {
-  CellPool pool(model_.get(), CellKind::Rbc, 2);
-  pool.add(1, instantiate(*model_, Vec3{0, 0, 0}));
-  SubGrid grid(region_, 1.0);
-  fill_subgrid(grid, {&pool});
-  // Cutoff large enough that a cell's own vertices are within range.
-  const std::size_t pairs = add_contact_forces({&pool}, 1.0, 1.0, grid);
-  EXPECT_EQ(pairs, 0u);
-  for (const auto& f : pool.forces(0)) EXPECT_EQ(norm(f), 0.0);
-}
-
 TEST_F(OverlapTest, FillSubgridCountsAllVertices) {
   CellPool pool(model_.get(), CellKind::Rbc, 3);
   pool.add(1, instantiate(*model_, Vec3{0, 0, 0}));
