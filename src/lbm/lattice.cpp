@@ -135,6 +135,23 @@ void Lattice::reset_slot(std::int32_t s) {
             std::uint8_t{0});
 }
 
+std::int32_t Lattice::add_slots(std::size_t n) {
+  const std::size_t first = slot_block_.size();
+  const std::size_t slots = first + n;
+  f_.resize(slots * kQ * kTileNodes, 0.0);
+  ftmp_.resize(slots * kQ * kTileNodes, 0.0);
+  type_.resize(slots * kTileNodes, NodeType::Exterior);
+  tau_.resize(slots * kTileNodes, default_tau_);
+  ubc_.resize(slots * kTileNodes, Vec3{});
+  force_.resize(slots * kTileNodes, body_force_);
+  rho_.resize(slots * kTileNodes, 1.0);
+  u_.resize(slots * kTileNodes, Vec3{});
+  fast_.resize(slots * kTileNodes, 0);
+  slot_block_.resize(slots, -1);
+  nonext_.resize(slots, 0);
+  return static_cast<std::int32_t>(first);
+}
+
 std::int32_t Lattice::materialize(std::size_t b) {
   std::int32_t s;
   if (!free_slots_.empty()) {
@@ -142,19 +159,7 @@ std::int32_t Lattice::materialize(std::size_t b) {
     free_slots_.pop_back();
     reset_slot(s);
   } else {
-    s = static_cast<std::int32_t>(slot_block_.size());
-    const std::size_t slots = static_cast<std::size_t>(s) + 1;
-    f_.resize(slots * kQ * kTileNodes, 0.0);
-    ftmp_.resize(slots * kQ * kTileNodes, 0.0);
-    type_.resize(slots * kTileNodes, NodeType::Exterior);
-    tau_.resize(slots * kTileNodes, default_tau_);
-    ubc_.resize(slots * kTileNodes, Vec3{});
-    force_.resize(slots * kTileNodes, body_force_);
-    rho_.resize(slots * kTileNodes, 1.0);
-    u_.resize(slots * kTileNodes, Vec3{});
-    fast_.resize(slots * kTileNodes, 0);
-    slot_block_.resize(slots, -1);
-    nonext_.resize(slots, 0);
+    s = add_slots(1);
   }
   dir_[b] = s;
   slot_block_[s] = static_cast<std::int32_t>(b);
@@ -447,126 +452,224 @@ std::size_t Lattice::shift(int sx, int sy, int sz) {
     }
   }
 
-  std::size_t nneed = 0;
-  for (std::size_t b = 0; b < nblocks_; ++b) nneed += need[b];
-
-  // Pass 2: build fresh pools in ascending block order. Inside the
-  // overlap box a node takes f/type/u/ubc from its source node and keeps
-  // tau/force/rho from its old self; outside the box everything keeps its
-  // old same-node value (unspecified by the contract -- the caller
-  // re-initializes the exposed slabs).
-  std::size_t slots = 1 + nneed;
-  std::vector<double> nf(slots * kQ * kTileNodes, 0.0);
-  std::vector<double> nftmp(slots * kQ * kTileNodes, 0.0);
-  std::vector<NodeType> ntype(slots * kTileNodes, NodeType::Exterior);
-  std::vector<double> ntau(slots * kTileNodes, default_tau_);
-  std::vector<Vec3> nubc(slots * kTileNodes, Vec3{});
-  std::vector<Vec3> nforce(slots * kTileNodes, body_force_);
-  std::vector<double> nrho(slots * kTileNodes, 1.0);
-  std::vector<Vec3> nu(slots * kTileNodes, Vec3{});
-  std::vector<std::int32_t> ndir(nblocks_, 0);
-  std::vector<std::int32_t> nslot_block(slots, -1);
-  std::vector<std::int32_t> nnonext(slots, 0);
-  std::vector<std::int32_t> nresident;
-  nresident.reserve(nneed);
-
-  std::int32_t next = 1;
+  // Destination tiles: every needed block, in ascending block order. A
+  // resident block keeps its slot; a block the carried state newly lands
+  // in takes a free slot (reset to the vacant defaults), and the pools
+  // grow once by the whole shortfall.
+  struct Dest {
+    std::int32_t block;
+    std::int32_t slot;
+    bool reset;  ///< a reused free slot, still holding stale state
+  };
+  std::vector<Dest> dst;
+  std::size_t landing = 0;
+  for (std::size_t b = 0; b < nblocks_; ++b) {
+    landing += need[b] && dir_[b] == 0;
+  }
+  std::int32_t grown = 0;
+  if (landing > free_slots_.size()) {
+    grown = add_slots(landing - free_slots_.size());
+  }
   for (std::size_t b = 0; b < nblocks_; ++b) {
     if (!need[b]) continue;
-    const std::int32_t s = next;
+    const auto block = static_cast<std::int32_t>(b);
+    if (dir_[b] != 0) {
+      dst.push_back({block, dir_[b], false});
+    } else if (!free_slots_.empty()) {
+      dst.push_back({block, free_slots_.back(), true});
+      free_slots_.pop_back();
+    } else {
+      dst.push_back({block, grown++, false});
+    }
+  }
+
+  // Every destination tile gathers its nodes, in parallel over tiles; each
+  // writes only its own slot. Inside the overlap box a node takes
+  // f/type/u/ubc from its source node and keeps tau/force/rho in place;
+  // outside the box everything keeps its old same-node value (unspecified
+  // by the contract -- the caller re-initializes the exposed slabs).
+  // Sources resolve through the old directory, so a vacant source block
+  // reads the shared exterior tile. A tile row splits into at most four
+  // runs whose sources are consecutive cells of one source slot:
+  // same-node cells, the moved span cut at a source tile seam, same-node
+  // cells.
+  struct Run {
+    std::size_t dst;  ///< destination cell
+    std::size_t src;  ///< source storage address
+    int len;
+    bool moved;
+  };
+  constexpr int kMaxRuns = 4 * kTileSide * kTileSide;
+  const auto tile_runs = [&](const Dest& d, Run* runs) {
     int bx, by, bz;
-    block_coords(b, bx, by, bz);
+    block_coords(static_cast<std::size_t>(d.block), bx, by, bz);
     const int X0 = bx << kTileShift;
     const int Y0 = by << kTileShift;
     const int Z0 = bz << kTileShift;
     const int vx = std::min(kTileSide, nx_ - X0);
     const int vy = std::min(kTileSide, ny_ - Y0);
     const int vz = std::min(kTileSide, nz_ - Z0);
-    std::int32_t cnt = 0;
-    bool nondefault = false;
-    const std::size_t no = static_cast<std::size_t>(s) * kTileNodes;
-    const std::size_t nfo = static_cast<std::size_t>(s) * kQ * kTileNodes;
+    int nruns = 0;
+    const auto add = [&](std::size_t c0, int y, int z, int l0, int l1,
+                         bool moved) {
+      const int ys = moved ? y + sy : y;
+      const int zs = moved ? z + sz : z;
+      for (int l = l0; l < l1;) {
+        const int xs = X0 + l + (moved ? sx : 0);
+        const int lxs = xs & (kTileSide - 1);
+        const int len = std::min(l1 - l, kTileSide - lxs);
+        const auto ss =
+            static_cast<std::size_t>(dir_[block_index(xs, ys, zs)]);
+        runs[nruns++] = {c0 + static_cast<std::size_t>(l),
+                         ss * kTileNodes +
+                             cell_of(lxs, ys & (kTileSide - 1),
+                                     zs & (kTileSide - 1)),
+                         len, moved};
+        l += len;
+      }
+    };
     for (int lz = 0; lz < vz; ++lz) {
-      const int z = Z0 + lz;
       for (int ly = 0; ly < vy; ++ly) {
+        const std::size_t c0 = cell_of(0, ly, lz);
         const int y = Y0 + ly;
-        for (int lx = 0; lx < vx; ++lx) {
-          const int x = X0 + lx;
-          const std::size_t c = cell_of(lx, ly, lz);
-          const std::size_t ha = addr(x, y, z);  // old same-node
-          ntau[no + c] = tau_[ha];
-          nforce[no + c] = force_[ha];
-          nrho[no + c] = rho_[ha];
-          const bool inbox = x >= bx0 && x < bx1 && y >= by0 && y < by1 &&
-                             z >= bz0 && z < bz1;
-          const std::size_t sa =
-              inbox ? addr(x + sx, y + sy, z + sz) : ha;
-          ntype[no + c] = type_[sa];
-          nu[no + c] = u_[sa];
-          nubc[no + c] = ubc_[sa];
-          const std::size_t ofo =
-              (sa >> kTileNodesShift) * kQ * kTileNodes + (sa & kTileMask);
-          for (int q = 0; q < kQ; ++q) {
-            nf[nfo + c + static_cast<std::size_t>(q) * kTileNodes] =
-                f_[ofo + static_cast<std::size_t>(q) * kTileNodes];
-          }
-          if (ntype[no + c] != NodeType::Exterior) ++cnt;
-          if (!nondefault) {
-            nondefault = ntau[no + c] != default_tau_ ||
-                         nrho[no + c] != 1.0 || !vec_zero(nubc[no + c]) ||
-                         !vec_zero(nu[no + c]);
-          }
+        const int z = Z0 + lz;
+        int m0 = vx, m1 = vx;  // moved span [m0, m1) of the row
+        if (y >= by0 && y < by1 && z >= bz0 && z < bz1) {
+          m0 = std::clamp(bx0 - X0, 0, vx);
+          m1 = std::clamp(bx1 - X0, m0, vx);
         }
+        add(c0, y, z, 0, m0, false);
+        add(c0, y, z, m0, m1, true);
+        add(c0, y, z, m1, vx, false);
       }
     }
-    if (cnt == 0 && auto_release_ && !nondefault) {
-      // Tile came out all-default: wipe the slot for reuse by the next
-      // candidate block instead of committing it.
-      std::fill(nf.begin() + nfo, nf.begin() + nfo + kQ * kTileNodes, 0.0);
-      std::fill(ntype.begin() + no, ntype.begin() + no + kTileNodes,
-                NodeType::Exterior);
-      std::fill(ntau.begin() + no, ntau.begin() + no + kTileNodes,
-                default_tau_);
-      std::fill(nubc.begin() + no, nubc.begin() + no + kTileNodes, Vec3{});
-      std::fill(nforce.begin() + no, nforce.begin() + no + kTileNodes,
-                body_force_);
-      std::fill(nrho.begin() + no, nrho.begin() + no + kTileNodes, 1.0);
-      std::fill(nu.begin() + no, nu.begin() + no + kTileNodes, Vec3{});
+    return nruns;
+  };
+
+  // Phase 1: f is gathered into ftmp_, the streaming double buffer, and
+  // the buffers are swapped at the end. A sweep writes every stream-source
+  // slot of its target before the swap, and checkpoints and digests zero
+  // f at the Wall/Exterior slots it never writes, so whatever ftmp_ holds
+  // after the swap is dead. Cells outside the lattice box get the vacant
+  // defaults in every field.
+  exec::parallel_for(dst.size(), [&](std::size_t k) {
+    const Dest& d = dst[k];
+    if (d.reset) reset_slot(d.slot);
+    const std::size_t o = static_cast<std::size_t>(d.slot) * kTileNodes;
+    double* ft = ftmp_.data() + o * kQ;
+    const auto pad = [&](std::size_t c) {
+      type_[o + c] = NodeType::Exterior;
+      tau_[o + c] = default_tau_;
+      ubc_[o + c] = Vec3{};
+      force_[o + c] = body_force_;
+      rho_[o + c] = 1.0;
+      u_[o + c] = Vec3{};
+      for (int q = 0; q < kQ; ++q) {
+        ft[static_cast<std::size_t>(q) * kTileNodes + c] = 0.0;
+      }
+    };
+    int x0, y0, z0;
+    block_coords(static_cast<std::size_t>(d.block), x0, y0, z0);
+    const int vx = std::min(kTileSide, nx_ - (x0 << kTileShift));
+    const int vy = std::min(kTileSide, ny_ - (y0 << kTileShift));
+    const int vz = std::min(kTileSide, nz_ - (z0 << kTileShift));
+    for (std::size_t c = 0; c < kTileNodes; ++c) {
+      int lx, ly, lz;
+      cell_coords(c, lx, ly, lz);
+      if (lx >= vx || ly >= vy || lz >= vz) pad(c);
+    }
+    Run runs[kMaxRuns];
+    const int nruns = tile_runs(d, runs);
+    const double* f = f_.data();
+    for (int q = 0; q < kQ; ++q) {
+      double* ftq = ft + static_cast<std::size_t>(q) * kTileNodes;
+      for (int r = 0; r < nruns; ++r) {
+        std::memcpy(ftq + runs[r].dst, f + faddr(runs[r].src, q),
+                    static_cast<std::size_t>(runs[r].len) * sizeof(double));
+      }
+    }
+  });
+
+  // Phase 2: type, u and ubc are overwritten in place, where a kept slot
+  // is also another tile's source, so they are read from a snapshot of
+  // the source slots (the shared exterior tile and the resident ones).
+  // The snapshot lives in the old distributions, dead once phase 1 is
+  // done: for source storage address a, u at double 3a, ubc at
+  // 3(cells + a) and the type, as a small integral double, at 6 cells + a
+  // -- 7 of the 19 doubles per cell, so a move allocates nothing. These
+  // values become the stale Wall/Exterior slots of the next sweep's
+  // target, so they must stay ordinary numbers (no denormal bit
+  // patterns). ubc is zero everywhere until some prescribed velocity is
+  // set nonzero.
+  const bool move_ubc = ubc_nonzero_;
+  const std::size_t cells = type_.size();
+  double* const snap_u = f_.data();
+  double* const snap_ubc = snap_u + 3 * cells;
+  double* const snap_type = snap_ubc + 3 * cells;
+  const auto put = [](double* snap, std::size_t a, const Vec3& v) {
+    snap[3 * a] = v.x;
+    snap[3 * a + 1] = v.y;
+    snap[3 * a + 2] = v.z;
+  };
+  const auto get = [](const double* snap, std::size_t a) {
+    return Vec3{snap[3 * a], snap[3 * a + 1], snap[3 * a + 2]};
+  };
+  exec::parallel_for(resident_.size() + 1, [&](std::size_t k) {
+    const std::size_t o =
+        k == 0 ? 0 : static_cast<std::size_t>(tile_slot(k - 1)) * kTileNodes;
+    for (std::size_t c = o; c < o + kTileNodes; ++c) {
+      put(snap_u, c, u_[c]);
+      if (move_ubc) put(snap_ubc, c, ubc_[c]);
+      snap_type[c] = static_cast<double>(static_cast<std::uint8_t>(type_[c]));
+    }
+  });
+
+  // Phase 3: the moved runs take type/u/ubc from the snapshot; same-node
+  // runs need no copy (a kept slot already holds them, and a landing
+  // block's old same-node state is the vacant defaults its slot holds).
+  // Each tile counts its non-Exterior nodes.
+  std::vector<std::int32_t> cnt(dst.size(), 0);
+  exec::parallel_for(dst.size(), [&](std::size_t k) {
+    const Dest& d = dst[k];
+    const std::size_t o = static_cast<std::size_t>(d.slot) * kTileNodes;
+    Run runs[kMaxRuns];
+    const int nruns = tile_runs(d, runs);
+    for (int r = 0; r < nruns; ++r) {
+      const Run& run = runs[r];
+      if (!run.moved) continue;
+      for (int i = 0; i < run.len; ++i) {
+        const std::size_t a = o + run.dst + static_cast<std::size_t>(i);
+        const std::size_t sa = run.src + static_cast<std::size_t>(i);
+        u_[a] = get(snap_u, sa);
+        if (move_ubc) ubc_[a] = get(snap_ubc, sa);
+        type_[a] = static_cast<NodeType>(
+            static_cast<std::uint8_t>(snap_type[sa]));
+      }
+    }
+    cnt[k] = static_cast<std::int32_t>(
+        std::count_if(type_.begin() + o, type_.begin() + o + kTileNodes,
+                      [](NodeType t) { return t != NodeType::Exterior; }));
+  });
+  f_.swap(ftmp_);
+
+  // Commit the directory in one serial pass, releasing the tiles that
+  // came out all-default.
+  resident_.clear();
+  for (std::size_t k = 0; k < dst.size(); ++k) {
+    const Dest& d = dst[k];
+    const auto b = static_cast<std::size_t>(d.block);
+    if (cnt[k] == 0 && auto_release_ && tile_holds_defaults(d.slot)) {
+      dir_[b] = 0;
+      slot_block_[d.slot] = -1;
+      nonext_[d.slot] = 0;
+      free_slots_.push_back(d.slot);
       continue;
     }
-    ndir[b] = s;
-    nslot_block[s] = static_cast<std::int32_t>(b);
-    nnonext[s] = cnt;
-    nresident.push_back(static_cast<std::int32_t>(b));
-    ++next;
+    dir_[b] = d.slot;
+    slot_block_[d.slot] = d.block;
+    nonext_[d.slot] = cnt[k];
+    resident_.push_back(d.block);
   }
-
-  slots = static_cast<std::size_t>(next);
-  nf.resize(slots * kQ * kTileNodes);
-  nftmp.resize(slots * kQ * kTileNodes);
-  ntype.resize(slots * kTileNodes);
-  ntau.resize(slots * kTileNodes);
-  nubc.resize(slots * kTileNodes);
-  nforce.resize(slots * kTileNodes);
-  nrho.resize(slots * kTileNodes);
-  nu.resize(slots * kTileNodes);
-  nslot_block.resize(slots);
-  nnonext.resize(slots);
-
-  f_ = std::move(nf);
-  ftmp_ = std::move(nftmp);
-  type_ = std::move(ntype);
-  tau_ = std::move(ntau);
-  ubc_ = std::move(nubc);
-  force_ = std::move(nforce);
-  rho_ = std::move(nrho);
-  u_ = std::move(nu);
-  fast_.assign(slots * kTileNodes, 0);
-  dir_ = std::move(ndir);
-  slot_block_ = std::move(nslot_block);
-  nonext_ = std::move(nnonext);
-  resident_ = std::move(nresident);
-  free_slots_.clear();
   fast_dirty_ = true;
   tiles_dirty_ = true;
   return static_cast<std::size_t>(nx_ - std::abs(sx)) *
@@ -1470,8 +1573,10 @@ void Lattice::ensure_tiles() {
 
 void Lattice::ensure_fast_flags() {
   if (!fast_dirty_) return;
-  std::fill(fast_.begin(), fast_.end(), std::uint8_t{0});
-  for (std::size_t t = 0; t < resident_.size(); ++t) {
+  // Each tile rewrites only its own flags from the stored types. Flags of
+  // the exterior tile stay zero and those of free slots are never read
+  // (reset_slot clears them on reuse).
+  exec::parallel_for(resident_.size(), [&](std::size_t t) {
     const std::size_t b = static_cast<std::size_t>(resident_[t]);
     const std::int32_t s = dir_[b];
     int bx, by, bz;
@@ -1483,6 +1588,7 @@ void Lattice::ensure_fast_flags() {
     const int vy = std::min(kTileSide, ny_ - Y0);
     const int vz = std::min(kTileSide, nz_ - Z0);
     const std::size_t base = static_cast<std::size_t>(s) * kTileNodes;
+    std::fill_n(fast_.begin() + base, kTileNodes, std::uint8_t{0});
     for (int lz = 0; lz < vz; ++lz) {
       const int z = Z0 + lz;
       if (z < 1 || z >= nz_ - 1) continue;
@@ -1509,7 +1615,7 @@ void Lattice::ensure_fast_flags() {
         }
       }
     }
-  }
+  });
   ++fast_epoch_;
   fast_dirty_ = false;
 }

@@ -186,10 +186,11 @@ class Lattice {
 
   /// Shift the lattice state by a whole-node displacement: node (x, y, z)
   /// takes the state previously held at (x+sx, y+sy, z+sz). The remap is
-  /// tile-granular: a fresh directory and slot pools are built, tiles are
-  /// allocated only where the moved-in state (or surviving in-place
-  /// state) is non-Exterior, and tiles left empty by the move are
-  /// released. Only state that cannot be recomputed travels:
+  /// tile-granular and in place: resident blocks keep their slots, blocks
+  /// the moved-in state lands in take free slots (the pools grow at most
+  /// once, by the shortfall), each destination tile gathers its nodes in
+  /// parallel, and tiles the move leaves all-default are released. Only
+  /// state that cannot be recomputed travels:
   /// distributions, node types, the velocity cache (IBM interpolation
   /// reads it at Wall/Exterior nodes that update_macroscopic() never
   /// rewrites), and prescribed boundary velocities. Per-node tau, forces
@@ -491,6 +492,8 @@ class Lattice {
   }
 
   // --- tile lifecycle ------------------------------------------------------
+  /// Append n slots holding the vacant defaults; returns the first.
+  std::int32_t add_slots(std::size_t n);
   std::int32_t materialize(std::size_t b);
   void release(std::size_t b);
   void reset_slot(std::int32_t s);
