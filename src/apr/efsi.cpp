@@ -54,8 +54,8 @@ int EfsiSimulation::fill_region(const Aabb& region,
                                 const cells::RbcTile& tile) {
   const double rmax = rbc_model_->max_radius();
   const double min_dist = 0.15 * rmax;
-  const Aabb grid_region = region.inflated(2.0 * rmax);
-  cells::SubGrid grid(grid_region, std::max(min_dist, rmax / 2.0));
+  cells::SubGrid grid(region.inflated(2.0 * rmax),
+                      std::max(min_dist, rmax / 2.0));
   cells::fill_subgrid(grid, {rbcs_.get(), ctcs_.get()});
 
   int added = 0;
@@ -80,7 +80,7 @@ int EfsiSimulation::fill_region(const Aabb& region,
           candidates.push_back({next_cell_id_++, std::move(verts)});
         }
         added += cells::add_nonoverlapping(std::move(candidates), grid,
-                                           grid_region, min_dist, *rbcs_);
+                                           min_dist, *rbcs_);
       }
     }
   }

@@ -193,10 +193,9 @@ double Window::insertion_clearance(double rmax) const {
 
 int Window::insert_cells(std::vector<cells::Candidate> candidates,
                          cells::SubGrid& grid, cells::CellPool& rbcs) const {
-  const double rmax = rbcs.model().max_radius();
-  return cells::add_nonoverlapping(std::move(candidates), grid,
-                                   outer_box().inflated(2.0 * rmax),
-                                   insertion_clearance(rmax), rbcs);
+  return cells::add_nonoverlapping(
+      std::move(candidates), grid,
+      insertion_clearance(rbcs.model().max_radius()), rbcs);
 }
 
 void Window::stamp_tile(const Aabb& box, cells::CellPool& rbcs,

@@ -21,49 +21,16 @@ bool overlaps_existing(std::span<const Vec3> vertices, std::uint64_t self_id,
   return false;
 }
 
-std::vector<std::uint64_t> resolve_overlaps(
-    const std::vector<Candidate>& candidates, const SubGrid& existing,
-    const Aabb& region, double min_distance) {
-  // Sort candidate indices by global ID so acceptance order -- and hence
-  // the removal set -- is independent of input order and task count.
-  std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return candidates[a].id < candidates[b].id;
-  });
-
-  SubGrid accepted(region, std::max(min_distance, existing.spacing()));
-  std::vector<std::uint64_t> dropped;
-  for (std::size_t i : order) {
-    const Candidate& c = candidates[i];
-    const bool bad =
-        overlaps_existing(c.vertices, c.id, existing, min_distance) ||
-        overlaps_existing(c.vertices, c.id, accepted, min_distance);
-    if (bad) {
-      dropped.push_back(c.id);
-    } else {
-      for (std::size_t v = 0; v < c.vertices.size(); ++v) {
-        accepted.insert(c.vertices[v], c.id, static_cast<int>(v));
-      }
-    }
-  }
-  std::sort(dropped.begin(), dropped.end());
-  return dropped;
-}
-
-int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& background,
-                       const Aabb& region, double min_distance,
-                       CellPool& pool) {
-  const auto dropped =
-      resolve_overlaps(candidates, background, region, min_distance);
+int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& grid,
+                       double min_distance, CellPool& pool) {
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
   int added = 0;
   for (const Candidate& c : candidates) {
-    if (std::binary_search(dropped.begin(), dropped.end(), c.id)) continue;
+    if (overlaps_existing(c.vertices, c.id, grid, min_distance)) continue;
     pool.add(c.id, c.vertices);
     for (std::size_t v = 0; v < c.vertices.size(); ++v) {
-      background.insert(c.vertices[v], c.id, static_cast<int>(v));
+      grid.insert(c.vertices[v], c.id, static_cast<int>(v));
     }
     ++added;
   }

@@ -25,29 +25,22 @@ namespace apr::cells {
 bool overlaps_existing(std::span<const Vec3> vertices, std::uint64_t self_id,
                        const SubGrid& grid, double min_distance);
 
-/// A candidate cell for batch overlap resolution.
+/// A candidate cell for batch insertion.
 struct Candidate {
   std::uint64_t id = 0;
   std::vector<Vec3> vertices;
 };
 
-/// Resolve overlaps within `candidates` (and against `existing`, which is
-/// never removed): returns the ids of candidates to drop. Deterministic:
-/// candidates are processed in increasing global-ID order; a candidate is
-/// dropped if it overlaps an existing cell or an already-accepted
-/// lower-ID candidate.
-std::vector<std::uint64_t> resolve_overlaps(
-    const std::vector<Candidate>& candidates, const SubGrid& existing,
-    const Aabb& region, double min_distance);
-
 /// The one cell-insertion routine (tile stamps, window-move fill copies,
-/// eFSI fills): resolve `candidates` against `background` with
-/// resolve_overlaps, add the survivors to `pool` in increasing ID order
-/// and insert their vertices into `background`, so the next batch sharing
-/// the grid sees them. Returns the number of candidates added.
-int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& background,
-                       const Aabb& region, double min_distance,
-                       CellPool& pool);
+/// eFSI fills). Walks `candidates` in increasing global-ID order; a
+/// candidate that overlaps_existing() some vertex in `grid` is dropped,
+/// any other is added to `pool` and its vertices go into `grid` at once,
+/// so higher-ID candidates and later batches sharing the grid see it.
+/// The accepted set is therefore independent of input order and task
+/// count, and the cells already in `grid` are never removed. Returns the
+/// number of candidates added.
+int add_nonoverlapping(std::vector<Candidate> candidates, SubGrid& grid,
+                       double min_distance, CellPool& pool);
 
 /// Insert every vertex of every cell in `pools` into `grid`, which the
 /// caller has just constructed or reset() (fill_subgrid does not clear it).

@@ -1,5 +1,8 @@
 #include "src/lbm/boundary.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace apr::lbm {
 
 namespace {
@@ -73,10 +76,10 @@ std::size_t mark_tube_walls(Lattice& lat, const Vec3& center, const Vec3& axis,
                             double radius) {
   const Vec3 a = normalized(axis);
   return mark_walls_by_predicate(lat, [&](const Vec3& p) {
-    const Vec3 d = p - center;
-    const Vec3 radial = d - a * dot(d, a);
-    return norm(radial) <= radius;
-  });
+           const Vec3 d = p - center;
+           const Vec3 radial = d - a * dot(d, a);
+           return norm(radial) <= radius;
+         }).wall;
 }
 
 OutflowBoundary OutflowBoundary::mark(Lattice& lat, Face face) {
@@ -125,44 +128,77 @@ void OutflowBoundary::update(Lattice& lat) const {
   }
 }
 
-std::size_t mark_walls_by_predicate(
-    Lattice& lat, const std::function<bool(const Vec3&)>& inside) {
-  const int nx = lat.nx();
-  const int ny = lat.ny();
-  const int nz = lat.nz();
-  std::vector<char> in(lat.num_nodes());
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
-        in[lat.idx(x, y, z)] = inside(lat.position(x, y, z)) ? 1 : 0;
+WallStats mark_walls_by_predicate(
+    Lattice& lat, const std::function<bool(const Vec3&)>& inside, int x0,
+    int x1, int y0, int y1, int z0, int z1) {
+  x0 = std::max(x0, 0);
+  y0 = std::max(y0, 0);
+  z0 = std::max(z0, 0);
+  x1 = std::min(x1, lat.nx());
+  y1 = std::min(y1, lat.ny());
+  z1 = std::min(z1, lat.nz());
+  WallStats stats;
+  if (x0 >= x1 || y0 >= y1 || z0 >= z1) return stats;
+
+  // Evaluate the predicate over the sub-range inflated by one node
+  // (clipped to the lattice) so every neighbour query below is a lookup.
+  const int ex0 = std::max(x0 - 1, 0);
+  const int ey0 = std::max(y0 - 1, 0);
+  const int ez0 = std::max(z0 - 1, 0);
+  const int ex1 = std::min(x1 + 1, lat.nx());
+  const int ey1 = std::min(y1 + 1, lat.ny());
+  const int ez1 = std::min(z1 + 1, lat.nz());
+  const int enx = ex1 - ex0;
+  const int eny = ey1 - ey0;
+  const int enz = ez1 - ez0;
+  std::vector<char> in(static_cast<std::size_t>(enx) * eny * enz);
+  auto eidx = [&](int x, int y, int z) {
+    return (static_cast<std::size_t>(z - ez0) * eny + (y - ey0)) * enx +
+           (x - ex0);
+  };
+  for (int z = ez0; z < ez1; ++z) {
+    for (int y = ey0; y < ey1; ++y) {
+      for (int x = ex0; x < ex1; ++x) {
+        in[eidx(x, y, z)] = inside(lat.position(x, y, z)) ? 1 : 0;
       }
     }
   }
-  std::size_t walls = 0;
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
+
+  for (int z = z0; z < z1; ++z) {
+    for (int y = y0; y < y1; ++y) {
+      for (int x = x0; x < x1; ++x) {
         const std::size_t i = lat.idx(x, y, z);
-        if (in[i]) continue;  // stays whatever it is (Fluid by default)
+        if (in[eidx(x, y, z)]) {
+          lat.set_type(i, NodeType::Fluid);
+          ++stats.fluid;
+          continue;
+        }
         bool near_fluid = false;
         for (int q = 1; q < kQ && !near_fluid; ++q) {
           const int sx = x + kC[q][0];
           const int sy = y + kC[q][1];
           const int sz = z + kC[q][2];
-          if (lat.in_domain(sx, sy, sz) && in[lat.idx(sx, sy, sz)]) {
+          if (lat.in_domain(sx, sy, sz) && in[eidx(sx, sy, sz)]) {
             near_fluid = true;
           }
         }
         if (near_fluid) {
           lat.set_type(i, NodeType::Wall);
-          ++walls;
+          ++stats.wall;
         } else {
           lat.set_type(i, NodeType::Exterior);
+          ++stats.exterior;
         }
       }
     }
   }
-  return walls;
+  return stats;
+}
+
+WallStats mark_walls_by_predicate(
+    Lattice& lat, const std::function<bool(const Vec3&)>& inside) {
+  return mark_walls_by_predicate(lat, inside, 0, lat.nx(), 0, lat.ny(), 0,
+                                 lat.nz());
 }
 
 }  // namespace apr::lbm

@@ -31,16 +31,32 @@ void mark_face_velocity(Lattice& lat, Face face, const Vec3& u);
 void mark_face_velocity(Lattice& lat, Face face,
                         const std::function<Vec3(const Vec3&)>& profile);
 
-/// Mark every node with distance > radius from the axis (through `center`,
-/// along unit `axis`) as Wall, and everything outside radius+thickness as
-/// Exterior. Returns the number of wall nodes.
+/// Classify the whole lattice (mark_walls_by_predicate) with "inside" =
+/// within `radius` of the axis through `center` along `axis`. Returns the
+/// number of wall nodes.
 std::size_t mark_tube_walls(Lattice& lat, const Vec3& center, const Vec3& axis,
                             double radius);
 
-/// Mark nodes as Wall/Exterior according to an arbitrary inside predicate
-/// evaluated at physical node positions: nodes where inside==false become
-/// Wall if they neighbour an inside node, Exterior otherwise.
-std::size_t mark_walls_by_predicate(
+/// Node counts of one classification pass.
+struct WallStats {
+  std::size_t fluid = 0;
+  std::size_t wall = 0;
+  std::size_t exterior = 0;
+};
+
+/// The one wall classifier: over the half-open index sub-range
+/// [x0,x1) x [y0,y1) x [z0,z1) (clamped to the lattice), nodes where
+/// `inside` holds at their physical position become Fluid, the others
+/// Wall if a D3Q19 neighbour is inside (halfway bounce-back) and Exterior
+/// otherwise. Neighbour visibility is clipped at the *lattice* boundary,
+/// not the sub-range, so classifying a disjoint tiling of sub-ranges
+/// gives the whole-lattice result node for node.
+WallStats mark_walls_by_predicate(
+    Lattice& lat, const std::function<bool(const Vec3&)>& inside, int x0,
+    int x1, int y0, int y1, int z0, int z1);
+
+/// The classifier over the whole lattice.
+WallStats mark_walls_by_predicate(
     Lattice& lat, const std::function<bool(const Vec3&)>& inside);
 
 /// Zero-gradient outflow: converts a face's Fluid nodes into Velocity

@@ -251,13 +251,24 @@ Metrics Metrics::deserialize(const std::vector<char>& payload,
   // reject corrupt length fields before they drive allocations.
   constexpr std::uint64_t kMaxEntries = 1u << 20;
   Metrics m;
+  // Each name once across all kinds: a repeat within a kind would
+  // silently overwrite the first value, and one across kinds would make
+  // to_json() write the key twice, which json_parse rejects.
+  const auto claim = [&](std::string name) {
+    if (m.gauges_.count(name) || m.counters_.count(name) ||
+        m.histograms_.count(name)) {
+      throw std::runtime_error("obs: repeated metric name '" + name +
+                               "' in metrics from " + what);
+    }
+    return name;
+  };
   const std::uint64_t n_gauges = cur.u64();
   if (n_gauges > kMaxEntries) {
     throw std::runtime_error("obs: implausible gauge count in metrics from " +
                              what);
   }
   for (std::uint64_t i = 0; i < n_gauges; ++i) {
-    std::string name = cur.str();
+    std::string name = claim(cur.str());
     m.gauges_[std::move(name)] = cur.f64();
   }
   const std::uint64_t n_counters = cur.u64();
@@ -266,7 +277,7 @@ Metrics Metrics::deserialize(const std::vector<char>& payload,
         "obs: implausible counter count in metrics from " + what);
   }
   for (std::uint64_t i = 0; i < n_counters; ++i) {
-    std::string name = cur.str();
+    std::string name = claim(cur.str());
     m.counters_[std::move(name)] = cur.u64();
   }
   const std::uint64_t n_hists = cur.u64();
@@ -275,7 +286,7 @@ Metrics Metrics::deserialize(const std::vector<char>& payload,
         "obs: implausible histogram count in metrics from " + what);
   }
   for (std::uint64_t i = 0; i < n_hists; ++i) {
-    std::string name = cur.str();
+    std::string name = claim(cur.str());
     Hist h;
     h.stats.count = cur.u64();
     h.stats.sum = cur.f64();

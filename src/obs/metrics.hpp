@@ -83,7 +83,8 @@ class Metrics {
   std::vector<char> serialize() const;
 
   /// Rebuild a registry from serialize() output. Throws
-  /// std::runtime_error naming `what` on truncated or malformed bytes.
+  /// std::runtime_error naming `what` on truncated or malformed bytes and
+  /// on a name that appears twice, within one kind or across kinds.
   static Metrics deserialize(const std::vector<char>& payload,
                              const std::string& what);
 

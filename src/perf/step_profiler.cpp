@@ -57,11 +57,10 @@ const char* to_string(StepPhase phase) {
 }
 
 StepProfiler::Scope::Scope(StepProfiler& profiler, StepPhase phase)
-    : profiler_(profiler.enabled() ? &profiler : nullptr),
+    : profiler_(&profiler),
       phase_(phase),
-      tracing_(obs::Tracer::instance().enabled()) {
-  if (profiler_ || tracing_) start_ns_ = now_ns();
-}
+      tracing_(obs::Tracer::instance().enabled()),
+      start_ns_(now_ns()) {}
 
 StepProfiler::Scope::Scope(Scope&& other) noexcept
     : profiler_(other.profiler_),
@@ -69,13 +68,12 @@ StepProfiler::Scope::Scope(Scope&& other) noexcept
       tracing_(other.tracing_),
       start_ns_(other.start_ns_) {
   other.profiler_ = nullptr;
-  other.tracing_ = false;
 }
 
 StepProfiler::Scope::~Scope() {
-  if (!profiler_ && !tracing_) return;
+  if (!profiler_) return;
   const std::int64_t dur_ns = now_ns() - start_ns_;
-  if (profiler_) profiler_->add_seconds(phase_, dur_ns * 1e-9);
+  profiler_->add_seconds(phase_, dur_ns * 1e-9);
   if (tracing_) {
     obs::Tracer::instance().record_complete("step", to_string(phase_),
                                             start_ns_, dur_ns);
@@ -83,14 +81,12 @@ StepProfiler::Scope::~Scope() {
 }
 
 void StepProfiler::add_seconds(StepPhase phase, double seconds) {
-  if (!enabled_) return;
   PhaseStats& s = stats_[index_of(phase)];
   s.seconds += seconds;
   ++s.calls;
 }
 
 void StepProfiler::add_site_updates(StepPhase phase, std::uint64_t updates) {
-  if (!enabled_) return;
   stats_[index_of(phase)].site_updates += updates;
 }
 
@@ -148,24 +144,6 @@ std::string StepProfiler::format_report() const {
   }
   return format_table(
       {"phase", "seconds", "share", "calls", "site_updates", "mlups"}, rows);
-}
-
-std::string StepProfiler::to_json() const {
-  std::ostringstream os;
-  os.precision(12);
-  os << "{\"phases\":[";
-  for (int i = 0; i < kNumStepPhases; ++i) {
-    const PhaseStats& s = stats_[i];
-    if (i) os << ",";
-    const double ms_per_call = s.calls ? 1e3 * s.seconds / s.calls : 0.0;
-    os << "{\"phase\":\"" << to_string(static_cast<StepPhase>(i))
-       << "\",\"seconds\":" << s.seconds << ",\"calls\":" << s.calls
-       << ",\"site_updates\":" << s.site_updates
-       << ",\"ms_per_call\":" << ms_per_call
-       << ",\"mlups\":" << phase_mlups(s) << "}";
-  }
-  os << "],\"total_seconds\":" << total_seconds() << "}";
-  return os.str();
 }
 
 void StepProfiler::write_csv(const std::string& path) const {

@@ -7,18 +7,15 @@
 /// collide-stream, advection, density maintenance, window moves, health
 /// watchdog scans) with a
 /// Scope, so after a run the profiler answers "where did the time go"
-/// with a struct, a text table, CSV, or JSON -- the measurement side of
-/// the paper's node-hour accounting (Fig. 6) and the input the scaling
-/// model of src/perf is calibrated against.
+/// with a struct, a text table or CSV -- the measurement side of the
+/// paper's node-hour accounting (Fig. 6) and the input the scaling model
+/// of src/perf is calibrated against.
 ///
 /// When the obs tracer is enabled (obs::Tracer::instance()), every Scope
 /// additionally emits a Chrome trace span (category "step", name =
-/// to_string(phase)) -- independent of set_enabled, so a trace always
-/// shows the phase structure even with profiling off.
+/// to_string(phase)).
 ///
-/// Overhead is two steady_clock reads per phase per step; keep it enabled
-/// by default. set_enabled(false) turns Scopes and the add_* mutators
-/// into no-ops.
+/// Overhead is two steady_clock reads per phase per step, always on.
 
 #include <array>
 #include <cstdint>
@@ -68,16 +65,13 @@ class StepProfiler {
     Scope& operator=(Scope&&) = delete;
 
    private:
-    StepProfiler* profiler_;  // null when disabled or moved-from
+    StepProfiler* profiler_;  // null when moved-from
     StepPhase phase_;
     bool tracing_ = false;  // emit an obs trace span on close
     std::int64_t start_ns_ = 0;
   };
 
   Scope scope(StepPhase phase) { return Scope(*this, phase); }
-
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
 
   void add_seconds(StepPhase phase, double seconds);
   void add_site_updates(StepPhase phase, std::uint64_t updates);
@@ -98,11 +92,6 @@ class StepProfiler {
   /// MLUPS).
   std::string format_report() const;
 
-  /// JSON object {"phases": [{"phase": ..., "seconds": ..., "calls": ...,
-  /// "site_updates": ..., "ms_per_call": ..., "mlups": ...}],
-  /// "total_seconds": ...}.
-  std::string to_json() const;
-
   /// CSV with columns phase,seconds,calls,site_updates,ms_per_call,mlups
   /// where `phase` is the StepPhase enum index (names via to_string).
   /// Written through common/csv so the plotting tooling can ingest it
@@ -111,7 +100,6 @@ class StepProfiler {
 
  private:
   std::array<PhaseStats, kNumStepPhases> stats_{};
-  bool enabled_ = true;
 };
 
 }  // namespace apr::perf

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -21,6 +24,7 @@
 
 #include "src/apr/simulation.hpp"
 #include "src/common/log.hpp"
+#include "src/common/rng.hpp"
 #include "src/exec/exec.hpp"
 #include "src/lbm/lattice.hpp"
 #include "src/mesh/shapes.hpp"
@@ -427,6 +431,244 @@ TEST(ObsMetrics, SerializeRoundTripsByteIdentically) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("rank 2"), std::string::npos);
   }
+}
+
+/// Raw bytes of `v`, appended to a hand-built snapshot payload.
+template <typename T>
+void put_raw(std::vector<char>& p, const T& v) {
+  const char* c = reinterpret_cast<const char*>(&v);
+  p.insert(p.end(), c, c + sizeof(T));
+}
+
+void put_name(std::vector<char>& p, const std::string& name) {
+  put_raw<std::uint64_t>(p, name.size());
+  p.insert(p.end(), name.begin(), name.end());
+}
+
+/// A snapshot payload with the given gauge and counter names (values 1)
+/// and one sample-free histogram per `hists` name.
+std::vector<char> snapshot_with(const std::vector<std::string>& gauges,
+                                const std::vector<std::string>& counters,
+                                const std::vector<std::string>& hists) {
+  const std::vector<char> empty = Metrics{}.serialize();
+  std::vector<char> p(empty.begin(), empty.begin() + 4);  // the version
+  put_raw<std::uint64_t>(p, gauges.size());
+  for (const auto& n : gauges) {
+    put_name(p, n);
+    put_raw(p, 1.0);
+  }
+  put_raw<std::uint64_t>(p, counters.size());
+  for (const auto& n : counters) {
+    put_name(p, n);
+    put_raw<std::uint64_t>(p, 1);
+  }
+  put_raw<std::uint64_t>(p, hists.size());
+  for (const auto& n : hists) {
+    put_name(p, n);
+    for (int k = 0; k < 5; ++k) put_raw<std::uint64_t>(p, 0);
+  }
+  return p;
+}
+
+/// Expects deserialize to reject `payload` with an error naming "rank 3".
+void expect_rejected(const std::vector<char>& payload) {
+  try {
+    Metrics::deserialize(payload, "rank 3");
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 3"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ObsMetrics, DeserializeRejectsNameRepeatedWithinKind) {
+  // The hand-built layout is what serialize() writes.
+  const Metrics ok =
+      Metrics::deserialize(snapshot_with({"a", "b"}, {"c"}, {"d"}), "rank 3");
+  EXPECT_EQ(ok.size(), 4u);
+  expect_rejected(snapshot_with({"a", "a"}, {}, {}));
+  expect_rejected(snapshot_with({}, {"c", "c"}, {}));
+  expect_rejected(snapshot_with({}, {}, {"d", "d"}));
+}
+
+TEST(ObsMetrics, DeserializeRejectsNameReusedAcrossKinds) {
+  // A name that is both a gauge and a counter would make to_json() write
+  // the key twice, which json_parse rejects.
+  expect_rejected(snapshot_with({"x"}, {"x"}, {}));
+  expect_rejected(snapshot_with({"x"}, {}, {"x"}));
+  expect_rejected(snapshot_with({}, {"x"}, {"x"}));
+}
+
+// --- Seeded mutations -----------------------------------------------------
+
+/// One seeded text mutation: a byte flip, a byte replaced by a JSON
+/// structural character, a truncation, random bytes inserted, or a slice
+/// deleted or repeated in place.
+void mutate_text(std::string& t, Rng& rng) {
+  static const char kStructural[] = "{}[]\",:\\-+.eE0123456789tfnu ";
+  const std::size_t at = rng.uniform_index(t.size());
+  switch (rng.uniform_index(6)) {
+    case 0:
+      t[at] ^= static_cast<char>(1 + rng.uniform_index(255));
+      break;
+    case 1:
+      t[at] = kStructural[rng.uniform_index(sizeof(kStructural) - 1)];
+      break;
+    case 2:
+      t.resize(at);
+      break;
+    case 3: {
+      std::string extra;
+      const std::size_t n = 1 + rng.uniform_index(8);
+      for (std::size_t k = 0; k < n; ++k) {
+        extra.push_back(static_cast<char>(rng.next_u64()));
+      }
+      t.insert(at, extra);
+      break;
+    }
+    case 4:
+      t.erase(at, 1 + rng.uniform_index(32));
+      break;
+    default:
+      t.insert(at, t.substr(at, 1 + rng.uniform_index(64)));
+      break;
+  }
+}
+
+TEST(ObsJson, SeededMutationsFailClosed) {
+  // Mutated metrics lines and trace envelopes must either parse or throw
+  // JsonError: no other exception (bad_alloc included), no crash, no hang.
+  Metrics m;
+  m.set_rank(1, 4);
+  m.set_gauge("coarse.mass", 1.0 / 3.0);
+  m.set_gauge("ctc.x", -2.5e-6);
+  m.add_counter("window.moves", 7);
+  for (int i = 0; i < 20; ++i) m.observe("step.ms", 0.5 + 0.1 * i);
+  const std::string line = m.to_json();
+
+  TracerGuard guard;
+  Tracer& t = Tracer::instance();
+  t.set_enabled(true);
+  t.clear();
+  {
+    OBS_SPAN("test", "outer");
+    OBS_SPAN("test", "inner \"quoted\"\n");
+  }
+  t.record_instant("test", "marker", "\"k\":42,\"s\":\"v\"");
+  t.set_enabled(false);
+  const std::string envelope = t.to_chrome_json();
+  ASSERT_NO_THROW(json_parse(line));
+  ASSERT_NO_THROW(json_parse(envelope));
+
+  Rng rng(0x0B5F022);
+  int rejected = 0;
+  int parsed = 0;
+  for (int i = 0; i < 4000 && !HasFailure(); ++i) {
+    std::string text = i % 2 == 0 ? line : envelope;
+    const int rounds = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int r = 0; r < rounds && !text.empty(); ++r) mutate_text(text, rng);
+    try {
+      json_parse(text);
+      ++parsed;
+    } catch (const JsonError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " escaped as " << e.what();
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(parsed, 0);
+}
+
+TEST(ObsMetrics, SeededSnapshotMutationsFailClosed) {
+  // Mutated serialize() payloads must either deserialize or throw
+  // std::runtime_error; an accepted snapshot must render a line that
+  // json_parse accepts (so no key is written twice).
+  Metrics m;
+  m.set_rank(2, 8);
+  m.set_gauge("gauge.aa", 1.0 / 3.0);
+  m.set_gauge("gauge.bb", 2.0);
+  m.add_counter("count.aa", 42);
+  m.add_counter("count.bb", 1);
+  for (int i = 0; i < 10; ++i) m.observe("hist.aa", 0.1 * i);
+  const std::vector<char> bytes = m.serialize();
+  const std::string names[] = {"gauge.aa", "gauge.bb", "count.aa",
+                               "count.bb", "hist.aa"};
+  std::vector<std::size_t> name_at;
+  for (const std::string& n : names) {
+    const auto it = std::search(bytes.begin(), bytes.end(), n.begin(), n.end());
+    ASSERT_NE(it, bytes.end()) << n;
+    name_at.push_back(static_cast<std::size_t>(it - bytes.begin()));
+  }
+  // u64 fields: the gauge count, each name's length (just before its
+  // bytes), and the histogram's sample count (after count/sum/min/max).
+  std::vector<std::size_t> fields = {4};
+  for (const std::size_t at : name_at) fields.push_back(at - 8);
+  fields.push_back(name_at.back() + std::string("hist.aa").size() + 32);
+
+  Rng rng(0x5EED0B5);
+  int rejected = 0;
+  int accepted = 0;
+  for (int i = 0; i < 4000 && !HasFailure(); ++i) {
+    std::vector<char> p = bytes;
+    switch (rng.uniform_index(5)) {
+      case 0:
+        p[rng.uniform_index(p.size())] ^=
+            static_cast<char>(1 + rng.uniform_index(255));
+        break;
+      case 1:
+        p.resize(rng.uniform_index(p.size()));
+        break;
+      case 2: {
+        const std::size_t extra = 1 + rng.uniform_index(16);
+        for (std::size_t k = 0; k < extra; ++k) {
+          p.push_back(static_cast<char>(rng.next_u64()));
+        }
+        break;
+      }
+      case 3: {
+        // One 8-byte gauge or counter name copied over another: a repeat
+        // within a kind or across kinds.
+        const std::size_t a = rng.uniform_index(4);
+        const std::size_t b = rng.uniform_index(4);
+        std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(name_at[a]),
+                    8, p.begin() + static_cast<std::ptrdiff_t>(name_at[b]));
+        break;
+      }
+      default: {
+        const std::size_t f = fields[rng.uniform_index(fields.size())];
+        std::uint64_t old = 0;
+        std::memcpy(&old, p.data() + f, 8);
+        const std::uint64_t values[] = {0,
+                                        1,
+                                        old - 1,
+                                        old + 1,
+                                        2 * old,
+                                        Metrics::kMaxSamples,
+                                        Metrics::kMaxSamples + 1,
+                                        (1ull << 20) + 1,
+                                        0x80000000ull,
+                                        ~0ull,
+                                        rng.next_u64()};
+        const std::uint64_t v =
+            values[rng.uniform_index(sizeof(values) / sizeof(values[0]))];
+        std::memcpy(p.data() + f, &v, 8);
+        break;
+      }
+    }
+    try {
+      const Metrics back = Metrics::deserialize(p, "rank 2");
+      ++accepted;
+      EXPECT_NO_THROW(json_parse(back.to_json())) << "mutation " << i;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " escaped as " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 // --- Run manifest ---------------------------------------------------------

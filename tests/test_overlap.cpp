@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
+#include "src/common/rng.hpp"
 #include "src/mesh/icosphere.hpp"
 
 namespace apr::cells {
@@ -18,6 +20,16 @@ class OverlapTest : public ::testing::Test {
 
   Candidate candidate(std::uint64_t id, const Vec3& center) const {
     return {id, instantiate(*model_, center)};
+  }
+
+  /// Pool ids add_nonoverlapping accepts from `cands` against `grid`.
+  std::vector<std::uint64_t> accepted_ids(std::vector<Candidate> cands,
+                                          SubGrid& grid) const {
+    CellPool pool(model_.get(), CellKind::Rbc, cands.size());
+    add_nonoverlapping(std::move(cands), grid, 0.5, pool);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t s = 0; s < pool.size(); ++s) ids.push_back(pool.id(s));
+    return ids;
   }
 
   std::unique_ptr<fem::MembraneModel> model_;
@@ -53,15 +65,13 @@ TEST_F(OverlapTest, ResolutionDropsHigherIds) {
   cands.push_back(candidate(10, {0, 0, 0}));
   cands.push_back(candidate(20, {0.5, 0, 0}));  // overlaps 10
   cands.push_back(candidate(30, {6.0, 0, 0}));  // free
-  const auto dropped = resolve_overlaps(cands, empty, region_, 0.5);
-  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{20}));
+  EXPECT_EQ(accepted_ids(cands, empty), (std::vector<std::uint64_t>{10, 30}));
 }
 
 TEST_F(OverlapTest, ResolutionIsOrderIndependent) {
-  // The same candidate set in any order must produce the same dropped set
-  // -- this is what makes the paper's algorithm consistent across MPI
+  // The same candidate set in any order must produce the same accepted
+  // set -- this is what makes the paper's algorithm consistent across MPI
   // task counts.
-  SubGrid empty(region_, 1.0);
   std::vector<Candidate> base;
   base.push_back(candidate(1, {0, 0, 0}));
   base.push_back(candidate(2, {0.8, 0, 0}));
@@ -69,35 +79,37 @@ TEST_F(OverlapTest, ResolutionIsOrderIndependent) {
   base.push_back(candidate(4, {8.0, 0, 0}));
   base.push_back(candidate(5, {8.5, 0, 0}));
 
-  const auto ref = resolve_overlaps(base, empty, region_, 0.5);
+  SubGrid empty(region_, 1.0);
+  const auto ref = accepted_ids(base, empty);
   for (int perm = 0; perm < 8; ++perm) {
     std::vector<Candidate> shuffled;
     for (std::size_t i = 0; i < base.size(); ++i) {
       const std::size_t j = (i * 3 + perm) % base.size();
       shuffled.push_back(base[j]);
     }
-    EXPECT_EQ(resolve_overlaps(shuffled, empty, region_, 0.5), ref)
-        << "permutation " << perm;
+    SubGrid grid(region_, 1.0);
+    EXPECT_EQ(accepted_ids(shuffled, grid), ref) << "permutation " << perm;
   }
 }
 
 TEST_F(OverlapTest, ResolutionMatchesAcrossSimulatedTaskSplits) {
   // Candidates partitioned across "tasks" and resolved against the same
-  // existing background must drop the same global set: union of per-task
+  // existing background must accept the same global set: union of per-task
   // results with the full set of candidates == single-task result.
   // (Each task sees all candidates near its boundary in the real code;
   // here the candidate set is identical, only discovery order differs.)
-  SubGrid empty(region_, 1.0);
   std::vector<Candidate> all;
   for (int i = 0; i < 12; ++i) {
     all.push_back(candidate(100 + i, {i * 0.9, 0.0, 0.0}));
   }
-  const auto single = resolve_overlaps(all, empty, region_, 0.5);
+  SubGrid single_grid(region_, 1.0);
+  const auto single = accepted_ids(all, single_grid);
   // Two-task split: even/odd interleave (order differs, content same).
   std::vector<Candidate> interleaved;
   for (int i = 0; i < 12; i += 2) interleaved.push_back(all[i]);
   for (int i = 1; i < 12; i += 2) interleaved.push_back(all[i]);
-  EXPECT_EQ(resolve_overlaps(interleaved, empty, region_, 0.5), single);
+  SubGrid split_grid(region_, 1.0);
+  EXPECT_EQ(accepted_ids(interleaved, split_grid), single);
 }
 
 TEST_F(OverlapTest, ExistingCellsAreNeverDropped) {
@@ -108,8 +120,8 @@ TEST_F(OverlapTest, ExistingCellsAreNeverDropped) {
   }
   std::vector<Candidate> cands;
   cands.push_back(candidate(1, {0.5, 0, 0}));  // overlaps the fixed cell
-  const auto dropped = resolve_overlaps(cands, existing, region_, 0.5);
-  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{1}));
+  EXPECT_TRUE(accepted_ids(cands, existing).empty());
+  EXPECT_EQ(existing.size(), fixed.size());
 }
 
 TEST_F(OverlapTest, AddNonoverlappingAddsSurvivorsInIdOrderAndGrowsGrid) {
@@ -121,7 +133,7 @@ TEST_F(OverlapTest, AddNonoverlappingAddsSurvivorsInIdOrderAndGrowsGrid) {
   first.push_back(candidate(30, {6.0, 0, 0}));
   first.push_back(candidate(20, {0.5, 0, 0}));  // overlaps 10
   first.push_back(candidate(10, {0, 0, 0}));
-  EXPECT_EQ(add_nonoverlapping(first, grid, region_, 0.5, pool), 2);
+  EXPECT_EQ(add_nonoverlapping(first, grid, 0.5, pool), 2);
   ASSERT_EQ(pool.size(), 2u);
   EXPECT_EQ(pool.id(0), 10u);
   EXPECT_EQ(pool.id(1), 30u);
@@ -134,11 +146,103 @@ TEST_F(OverlapTest, AddNonoverlappingAddsSurvivorsInIdOrderAndGrowsGrid) {
   second.push_back(candidate(50, {-6.0, 0, 0}));  // free
   second.push_back(candidate(60, {25.0, 0, 0}));  // outside the grid, free
   second.push_back(candidate(70, {25.5, 0, 0}));  // overlaps 60
-  EXPECT_EQ(add_nonoverlapping(second, grid, region_, 0.5, pool), 2);
+  EXPECT_EQ(add_nonoverlapping(second, grid, 0.5, pool), 2);
   ASSERT_EQ(pool.size(), 4u);
   EXPECT_EQ(pool.id(2), 50u);
   EXPECT_EQ(pool.id(3), 60u);
   EXPECT_EQ(grid.size(), 4u * 42u);
+}
+
+/// The two-grid insertion this routine replaced, restated: verdicts
+/// against `background` plus a per-call grid over `region` holding this
+/// batch's accepted lower ids, then the survivors added to `pool` and
+/// `background` in id order.
+int two_grid_reference(std::vector<Candidate> candidates, SubGrid& background,
+                       const Aabb& region, double min_distance,
+                       CellPool& pool) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
+  SubGrid accepted(region, std::max(min_distance, background.spacing()));
+  std::vector<const Candidate*> survivors;
+  for (const Candidate& c : candidates) {
+    if (overlaps_existing(c.vertices, c.id, background, min_distance) ||
+        overlaps_existing(c.vertices, c.id, accepted, min_distance)) {
+      continue;
+    }
+    for (std::size_t v = 0; v < c.vertices.size(); ++v) {
+      accepted.insert(c.vertices[v], c.id, static_cast<int>(v));
+    }
+    survivors.push_back(&c);
+  }
+  for (const Candidate* c : survivors) {
+    pool.add(c->id, c->vertices);
+    for (std::size_t v = 0; v < c->vertices.size(); ++v) {
+      background.insert(c->vertices[v], c->id, static_cast<int>(v));
+    }
+  }
+  return static_cast<int>(survivors.size());
+}
+
+TEST_F(OverlapTest, OneGridMatchesTwoGridReferenceBitForBit) {
+  // Seeded random packs in several batches sharing one background grid
+  // whose frame differs from the reference's per-call region. Candidates
+  // reach past both boxes (clamped buckets), ids arrive unsorted, and the
+  // background holds fixed cells plus avoid-set points under id ~0.
+  const double d = 0.5;
+  const Aabb grid_box({-6, -6, -6}, {6, 6, 6});
+  const Aabb region({-4, -5, -3}, {7, 4, 5});
+  int dropped = 0;
+  int kept = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(0xC0FFEE + seed);
+    CellPool one_pool(model_.get(), CellKind::Rbc, 256);
+    CellPool ref_pool(model_.get(), CellKind::Rbc, 256);
+    SubGrid one_grid(grid_box, 0.7);
+    SubGrid ref_grid(grid_box, 0.7);
+    for (SubGrid* g : {&one_grid, &ref_grid}) {
+      const auto fixed = instantiate(*model_, Vec3{1.0, -2.0, 0.5});
+      for (std::size_t v = 0; v < fixed.size(); ++v) {
+        g->insert(fixed[v], 7, static_cast<int>(v));
+      }
+    }
+    for (int k = 0; k < 6; ++k) {
+      const Vec3 p{-3.0 + k, 2.0, -1.0};
+      one_grid.insert(p, ~0ull, k);
+      ref_grid.insert(p, ~0ull, k);
+    }
+    std::uint64_t next_id = 1000;
+    for (int batch = 0; batch < 5; ++batch) {
+      std::vector<Candidate> cands;
+      for (int c = 0; c < 24; ++c) {
+        const Vec3 centre = rng.point_in_box({-9, -9, -9}, {9, 9, 9});
+        cands.push_back(candidate(next_id + 3 * c, centre));
+      }
+      next_id += 3 * 24;
+      // Unsorted ids: a seeded shuffle of the batch.
+      for (std::size_t i = cands.size(); i > 1; --i) {
+        std::swap(cands[i - 1], cands[rng.uniform_index(i)]);
+      }
+      const int added = add_nonoverlapping(cands, one_grid, d, one_pool);
+      const int ref_added =
+          two_grid_reference(cands, ref_grid, region, d, ref_pool);
+      ASSERT_EQ(added, ref_added) << "seed " << seed << " batch " << batch;
+      dropped += static_cast<int>(cands.size()) - added;
+      kept += added;
+    }
+    ASSERT_EQ(one_pool.size(), ref_pool.size());
+    for (std::size_t s = 0; s < one_pool.size(); ++s) {
+      EXPECT_EQ(one_pool.id(s), ref_pool.id(s)) << "slot " << s;
+      const auto x = one_pool.positions(s);
+      const auto y = ref_pool.positions(s);
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size_bytes()), 0)
+          << "slot " << s;
+    }
+    EXPECT_EQ(one_grid.size(), ref_grid.size());
+  }
+  // Both verdicts occur, so neither branch is vacuous.
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(kept, 0);
 }
 
 TEST_F(OverlapTest, FillSubgridCountsAllVertices) {
