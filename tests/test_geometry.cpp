@@ -86,7 +86,7 @@ TEST(ExpandingChannel, ValidatesGeometry) {
 TEST(Voxelizer, FluidFractionMatchesTubeCrossSection) {
   const TubeDomain tube({0, 0, 0}, {0, 0, 1}, 20.0, 5.0);
   lbm::Lattice lat = make_lattice_for(tube, 1.0, 1.0);
-  const VoxelizeStats stats = voxelize(lat, tube);
+  const lbm::WallStats stats = voxelize(lat, tube);
   EXPECT_GT(stats.fluid, 0u);
   EXPECT_GT(stats.wall, 0u);
   EXPECT_GT(stats.exterior, 0u);
