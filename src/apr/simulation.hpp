@@ -95,9 +95,8 @@ struct AprParams {
   double tile_hematocrit_boost = 1.0;  ///< tile packing factor vs target
   /// Collision operator for both lattices (paper §2.1 uses BGK; TRT and
   /// MRT are the stability/accuracy extensions, see lbm/lattice.hpp).
-  /// Shapes the trajectory, so it IS digested -- but only when it
-  /// deviates from the BGK default, which keeps every existing BGK
-  /// checkpoint digest (and the committed goldens) unchanged.
+  /// Shapes the trajectory, so it is part of the checkpoint params
+  /// digest, together with trt_magic.
   lbm::CollisionModel collision = lbm::CollisionModel::Bgk;
   /// TRT magic parameter Lambda (ignored by BGK and MRT).
   double trt_magic = 3.0 / 16.0;

@@ -73,17 +73,8 @@ std::uint64_t params_digest(const AprParams& p) {
   h.update_pod(static_cast<std::uint64_t>(p.rbc_capacity));
   h.update_pod(p.seed);
   h.update_pod(p.tile_hematocrit_boost);
-  // Former relocation toggle, always on; still hashed so existing
-  // checkpoints and the committed goldens keep their digests.
-  h.update_pod(std::uint8_t{1});
-  // The collision operator shapes the trajectory, but it is hashed only
-  // when it deviates from the BGK default: appending it unconditionally
-  // would change the digest of every existing BGK checkpoint (and the
-  // committed golden files pin those digests).
-  if (p.collision != lbm::CollisionModel::Bgk) {
-    h.update_pod(static_cast<std::uint8_t>(p.collision));
-    h.update_pod(p.trt_magic);
-  }
+  h.update_pod(static_cast<std::uint8_t>(p.collision));
+  h.update_pod(p.trt_magic);
   return h.value();
 }
 

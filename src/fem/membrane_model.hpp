@@ -87,7 +87,8 @@ class MembraneModel {
   MembraneParams params_;
   SkalakParams skalak_;
   std::vector<TriangleRef> tri_ref_;
-  std::vector<double> hinge_theta0_;
+  std::vector<double> hinge_theta0_;    ///< rest angles, for energy()
+  std::vector<HingeRest> hinge_rest_;   ///< the same for the force kernel
   double hinge_kb_ = 0.0;
   double ref_area_ = 0.0;
   double ref_volume_ = 0.0;

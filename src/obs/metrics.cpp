@@ -10,19 +10,38 @@
 
 namespace apr::obs {
 
+const char* Metrics::kind_of(const std::string& name) const {
+  if (gauges_.count(name)) return "gauge";
+  if (counters_.count(name)) return "counter";
+  if (histograms_.count(name)) return "histogram";
+  return nullptr;
+}
+
+void Metrics::require_kind(const std::string& name, const char* kind) const {
+  const char* held = kind_of(name);
+  if (held && std::strcmp(held, kind) != 0) {
+    throw std::logic_error("obs: metric '" + name + "' is already a " + held +
+                           ", not a " + kind);
+  }
+}
+
 void Metrics::set_gauge(const std::string& name, double value) {
+  require_kind(name, "gauge");
   gauges_[name] = value;
 }
 
 void Metrics::add_counter(const std::string& name, std::uint64_t delta) {
+  require_kind(name, "counter");
   counters_[name] += delta;
 }
 
 void Metrics::set_counter(const std::string& name, std::uint64_t value) {
+  require_kind(name, "counter");
   counters_[name] = value;
 }
 
 void Metrics::observe(const std::string& name, double value) {
+  require_kind(name, "histogram");
   auto [it, inserted] = histograms_.try_emplace(name);
   Hist& h = it->second;
   HistogramStats& s = h.stats;
@@ -255,8 +274,7 @@ Metrics Metrics::deserialize(const std::vector<char>& payload,
   // silently overwrite the first value, and one across kinds would make
   // to_json() write the key twice, which json_parse rejects.
   const auto claim = [&](std::string name) {
-    if (m.gauges_.count(name) || m.counters_.count(name) ||
-        m.histograms_.count(name)) {
+    if (m.kind_of(name)) {
       throw std::runtime_error("obs: repeated metric name '" + name +
                                "' in metrics from " + what);
     }

@@ -51,6 +51,9 @@ class Metrics {
   /// observations (tens of thousands of steps) without unbounded growth.
   static constexpr std::size_t kMaxSamples = 65536;
 
+  /// Each name belongs to one kind: a setter given a name that another
+  /// kind already holds throws std::logic_error naming that kind (to_json
+  /// would otherwise write the key twice).
   void set_gauge(const std::string& name, double value);
   void add_counter(const std::string& name, std::uint64_t delta = 1);
   void set_counter(const std::string& name, std::uint64_t value);
@@ -95,6 +98,9 @@ class Metrics {
   };
 
   static HistogramStats finalize(const Hist& h);
+  /// "gauge", "counter" or "histogram" when a kind holds `name`, else null.
+  const char* kind_of(const std::string& name) const;
+  void require_kind(const std::string& name, const char* kind) const;
 
   std::map<std::string, double> gauges_;
   std::map<std::string, std::uint64_t> counters_;

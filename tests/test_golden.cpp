@@ -1,17 +1,19 @@
-/// Golden-state regression harness (slow tier). tests/golden/ holds a
-/// committed checkpoint of the scenario in tools/golden_scenario.hpp plus
-/// a manifest of its digest and physics invariants. Three layers of
-/// protection, loosest contract first:
+/// Golden-state regression harness (fast tier, so every build flavour
+/// runs it). tests/golden/ holds a committed checkpoint of the scenario in
+/// tools/golden_scenario.hpp plus a manifest of its digests and physics
+/// invariants. Three layers of protection:
 ///
 ///  1. The committed container must parse, CRC-clean, and its digest must
 ///     match the manifest *exactly* -- catches accidental edits to the
 ///     committed bytes and incompatible format changes.
 ///  2. Invariants recomputed from the loaded state must match the
-///     manifest to 1e-12 relative -- catches silent changes to the
-///     serialization or to the load path.
-///  3. After replaying kGoldenEvolveSteps, invariants must match the
-///     manifest's evolved values to 1e-6 relative -- catches silent
-///     physics drift anywhere in the step pipeline.
+///     manifest exactly -- catches silent changes to the serialization or
+///     to the load path.
+///  3. After replaying kGoldenEvolveSteps at one worker, the state digest
+///     must equal the manifest's evolved_digest -- the build-flavour
+///     contract (DESIGN.md §6): no flavour may round differently. The
+///     evolved invariants must also match to 1e-6 relative, which says
+///     whether a digest mismatch is rounding or physics drift.
 ///
 /// An *intentional* physics change regenerates the files:
 ///     ./build/tools/make_golden tests/golden
@@ -20,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -67,6 +71,22 @@ double as_double(const std::map<std::string, std::string>& kv,
   return it == kv.end() ? 0.0 : std::stod(it->second);
 }
 
+std::uint64_t hex_value(const std::map<std::string, std::string>& kv,
+                        const std::string& key) {
+  const auto it = kv.find(key);
+  EXPECT_NE(it, kv.end()) << "manifest is missing " << key;
+  std::uint64_t value = 0;
+  if (it != kv.end()) std::stringstream(it->second) >> std::hex >> value;
+  return value;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIX64, v);
+  return buf;
+}
+
+/// rel_tol 0 demands exact equality.
 void expect_invariants(const GoldenInvariants& inv,
                        const std::map<std::string, std::string>& kv,
                        const std::string& prefix, double rel_tol) {
@@ -103,13 +123,7 @@ class GoldenStateTest : public ::testing::Test {
 
 TEST_F(GoldenStateTest, CommittedContainerIsIntactAndDigestMatchesExactly) {
   const io::Checkpoint ckpt = io::Checkpoint::read(chk_);  // CRC-validates
-  std::uint64_t expected = 0;
-  {
-    std::stringstream ss;
-    ss << std::hex << manifest_.at("digest");
-    ss >> expected;
-  }
-  EXPECT_EQ(ckpt.digest(), expected)
+  EXPECT_EQ(ckpt.digest(), hex_value(manifest_, "digest"))
       << "committed golden checkpoint bytes changed; if intentional, "
          "regenerate with make_golden and commit both files";
 }
@@ -121,7 +135,7 @@ TEST_F(GoldenStateTest, LoadedStateReproducesManifestInvariants) {
   sim->load_checkpoint(chk_);
   EXPECT_EQ(sim->coarse_steps(),
             static_cast<int>(as_double(manifest_, "coarse_steps")));
-  expect_invariants(compute_invariants(*sim), manifest_, "", 1e-12);
+  expect_invariants(compute_invariants(*sim), manifest_, "", 0.0);
 
   // Byte stability: re-serializing the loaded state reproduces the
   // committed file exactly.
@@ -139,9 +153,8 @@ TEST_F(GoldenStateTest, LoadedStateReproducesManifestInvariants) {
 }
 
 TEST_F(GoldenStateTest, ReplayedEvolutionMatchesManifestInvariants) {
-  // The generator wrote the golden files at one worker; replay the same
-  // way so the 1e-6 contract covers compiler/codegen drift, not the known
-  // (<=1e-14/step) worker-count rounding.
+  // The generator wrote the golden files at one worker (the state is
+  // bit-exact only at a fixed worker count); replay the same way.
   const int saved = exec::num_workers();
   exec::set_num_workers(1);
   auto sim = std::make_unique<core::AprSimulation>(
@@ -150,6 +163,12 @@ TEST_F(GoldenStateTest, ReplayedEvolutionMatchesManifestInvariants) {
   sim->load_checkpoint(chk_);
   sim->run(static_cast<int>(as_double(manifest_, "evolve_steps")));
   exec::set_num_workers(saved);
+  const std::uint64_t digest = sim->state_digest();
+  const std::uint64_t expected = hex_value(manifest_, "evolved_digest");
+  EXPECT_EQ(digest, expected)
+      << "evolved state digest " << hex16(digest) << " != manifest "
+      << hex16(expected)
+      << "; this build flavour rounds differently from the generator's";
   expect_invariants(compute_invariants(*sim), manifest_, "evolved_", 1e-6);
 }
 

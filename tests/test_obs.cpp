@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -497,6 +498,43 @@ TEST(ObsMetrics, DeserializeRejectsNameReusedAcrossKinds) {
   expect_rejected(snapshot_with({"x"}, {"x"}, {}));
   expect_rejected(snapshot_with({"x"}, {}, {"x"}));
   expect_rejected(snapshot_with({}, {"x"}, {"x"}));
+}
+
+TEST(ObsMetrics, SettersRejectNameUsedInAnotherKind) {
+  const auto expect_held_by = [](const std::function<void()>& set,
+                                 const std::string& kind) {
+    try {
+      set();
+      ADD_FAILURE() << "expected std::logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("already a " + kind),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  Metrics m;
+  m.set_gauge("g", 1.0);
+  m.add_counter("c", 2);
+  m.observe("h", 3.0);
+  expect_held_by([&] { m.add_counter("g"); }, "gauge");
+  expect_held_by([&] { m.set_counter("g", 1); }, "gauge");
+  expect_held_by([&] { m.observe("g", 1.0); }, "gauge");
+  expect_held_by([&] { m.set_gauge("c", 1.0); }, "counter");
+  expect_held_by([&] { m.observe("c", 1.0); }, "counter");
+  expect_held_by([&] { m.set_gauge("h", 1.0); }, "histogram");
+  expect_held_by([&] { m.add_counter("h"); }, "histogram");
+  expect_held_by([&] { m.set_counter("h", 1); }, "histogram");
+  // The same kind may keep writing its name, and nothing was changed by
+  // the rejected calls: the line still parses with one key per name.
+  m.set_gauge("g", 4.0);
+  m.set_counter("c", 5);
+  m.add_counter("c");
+  m.observe("h", 6.0);
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_DOUBLE_EQ(m.gauge("g"), 4.0);
+  EXPECT_EQ(m.counter("c"), 6u);
+  EXPECT_EQ(m.histogram("h").count, 2u);
+  EXPECT_NO_THROW(json_parse(m.to_json()));
 }
 
 // --- Seeded mutations -----------------------------------------------------

@@ -12,11 +12,14 @@
 /// The manifest written next to the checkpoint records the container
 /// digest (exact, byte-level) and physics invariants (mass, momentum,
 /// per-species cell volume/area) at save time and after
-/// kGoldenEvolveSteps further steps. Exactness policy: raw bytes and
-/// digests are compared exactly; recomputed invariants use 1e-12 relative
-/// tolerance (same arithmetic, possibly different FMA contraction across
-/// build flags); evolved invariants use 1e-6 (rounding grows along the
-/// trajectory but physics drift it would catch is orders larger).
+/// kGoldenEvolveSteps further steps, plus the state digest at that point.
+/// Exactness policy: the library compiles with no floating-point
+/// contraction in any build flavour, so on one host the same arithmetic
+/// rounds the same way everywhere. Raw bytes, digests and the invariants
+/// recomputed from the loaded state are therefore compared exactly, and
+/// so is the evolved digest (one worker). The evolved invariants keep a
+/// 1e-6 relative check beside it, which measures how far the physics
+/// moved when the digest does not match.
 
 #include <cstdint>
 #include <memory>
