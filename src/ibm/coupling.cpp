@@ -329,9 +329,6 @@ void spread_forces(lbm::Lattice& lat, const StencilRecord& stencils,
             d = kx == kx0 || (x & kBrickMask) == 0
                     ? &s.brick(grid.key(x, y, z))[grid.offset(x, y, z)]
                     : d + 1;
-            // Form the node's g * weight only once its slot is resolved,
-            // so the multiply and the add stay one expression, as in the
-            // serial path (the compiler may fuse them).
             *d += g * (st.w[0][kx] * wyz);
           }
         });
