@@ -131,11 +131,9 @@ HealthReport HealthMonitor::scan_lattice(const lbm::Lattice& lat,
               const double limit = rho < p.rho_min ? p.rho_min : p.rho_max;
               return Hit{i, HealthCheck::DensityBounds, -1, rho, limit};
             }
-            if (p.check_mach) {
-              const double mach = norm(mom) / rho * kInvCs;
-              if (mach > p.max_mach) {
-                return Hit{i, HealthCheck::MachLimit, -1, mach, p.max_mach};
-              }
+            const double mach = norm(mom) / rho * kInvCs;
+            if (mach > p.max_mach) {
+              return Hit{i, HealthCheck::MachLimit, -1, mach, p.max_mach};
             }
           }
         }

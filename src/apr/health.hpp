@@ -73,11 +73,7 @@ struct HealthParams {
   int interval = 10;     ///< coarse steps between scans (<=0 disables)
   HealthPolicy policy = HealthPolicy::Throw;
 
-  bool check_coarse = true;    ///< scan the coarse lattice
-  bool check_fine = true;      ///< scan the fine (window) lattice
-  bool check_mach = true;      ///< Mach check inside the lattice scans
-  bool check_cells = true;     ///< scan the RBC and CTC pools
-  bool check_coupling = true;  ///< window-coupler structural invariants
+  bool check_cells = true;  ///< scan the RBC and CTC pools
 
   double rho_min = 0.5;  ///< lattice-unit density lower bound
   double rho_max = 2.0;  ///< lattice-unit density upper bound

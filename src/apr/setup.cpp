@@ -84,11 +84,7 @@ AprParams params_from_config(const Config& config) {
     p.health.policy = health_policy_from_string(health);
   }
   p.health.interval = config.get_int("health_interval", 10);
-  p.health.check_coarse = config.get_bool("health_check_coarse", true);
-  p.health.check_fine = config.get_bool("health_check_fine", true);
-  p.health.check_mach = config.get_bool("health_check_mach", true);
   p.health.check_cells = config.get_bool("health_check_cells", true);
-  p.health.check_coupling = config.get_bool("health_check_coupling", true);
   p.health.rho_min = config.get_double("health_rho_min", 0.5);
   p.health.rho_max = config.get_double("health_rho_max", 2.0);
   p.health.max_mach = config.get_double("health_max_mach", 0.3);

@@ -23,7 +23,7 @@
 ///   maintain_interval (3), move_trigger_um (1.5)
 ///   # numerical-health watchdog (see apr/health.hpp, DESIGN.md §10)
 ///   health (off | throw | log | recover), health_interval (10)
-///   health_check_coarse/fine/mach/cells/coupling (all true)
+///   health_check_cells (true)
 ///   health_rho_min (0.5), health_rho_max (2.0), health_max_mach (0.3)
 ///   health_max_i1 (50), health_max_volume_drift (0.5),
 ///   health_min_det_f (1e-3)

@@ -818,13 +818,9 @@ void AprSimulation::run(int steps) {
 HealthReport AprSimulation::check_health() const {
   const HealthParams& hp = params_.health;
   const HealthMonitor monitor(hp);
-  HealthReport rep;
-  rep.step = coarse_steps_;
-  if (hp.check_coarse) {
-    rep = monitor.scan_lattice(*coarse_, "coarse", coarse_steps_);
-    if (!rep.ok()) return rep;
-  }
-  if (hp.check_fine && fine_) {
+  HealthReport rep = monitor.scan_lattice(*coarse_, "coarse", coarse_steps_);
+  if (!rep.ok()) return rep;
+  if (fine_) {
     rep = monitor.scan_lattice(*fine_, "fine", coarse_steps_);
     if (!rep.ok()) return rep;
   }
@@ -834,7 +830,7 @@ HealthReport AprSimulation::check_health() const {
     rep = monitor.scan_cells(*ctcs_, "ctc", coarse_steps_);
     if (!rep.ok()) return rep;
   }
-  if (hp.check_coupling && window_ && fine_) {
+  if (window_ && fine_) {
     rep = monitor.scan_coupling(
         *window_, *fine_, *coarse_, params_.n, coupler_ != nullptr,
         coupler_ ? coupler_->num_coupling_nodes() : 0, coarse_steps_);

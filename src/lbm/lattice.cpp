@@ -67,7 +67,6 @@ Lattice::Lattice(int nx, int ny, int nz, const Vec3& origin, double dx,
   force_.assign(slots * kTileNodes, Vec3{});
   rho_.assign(slots * kTileNodes, 1.0);
   u_.assign(slots * kTileNodes, Vec3{});
-  fast_.assign(slots * kTileNodes, 0);
 
   dir_.assign(nblocks_, 0);
   slot_block_.assign(slots, -1);
@@ -131,8 +130,6 @@ void Lattice::reset_slot(std::int32_t s) {
   std::fill(force_.begin() + o, force_.begin() + o + kTileNodes, body_force_);
   std::fill(rho_.begin() + o, rho_.begin() + o + kTileNodes, 1.0);
   std::fill(u_.begin() + o, u_.begin() + o + kTileNodes, Vec3{});
-  std::fill(fast_.begin() + o, fast_.begin() + o + kTileNodes,
-            std::uint8_t{0});
 }
 
 std::int32_t Lattice::add_slots(std::size_t n) {
@@ -146,7 +143,6 @@ std::int32_t Lattice::add_slots(std::size_t n) {
   force_.resize(slots * kTileNodes, body_force_);
   rho_.resize(slots * kTileNodes, 1.0);
   u_.resize(slots * kTileNodes, Vec3{});
-  fast_.resize(slots * kTileNodes, 0);
   slot_block_.resize(slots, -1);
   nonext_.resize(slots, 0);
   return static_cast<std::int32_t>(first);
@@ -167,7 +163,7 @@ std::int32_t Lattice::materialize(std::size_t b) {
   const auto it = std::lower_bound(resident_.begin(), resident_.end(),
                                    static_cast<std::int32_t>(b));
   resident_.insert(it, static_cast<std::int32_t>(b));
-  tiles_dirty_ = true;
+  plan_dirty_ = true;
   return s;
 }
 
@@ -180,7 +176,7 @@ void Lattice::release(std::size_t b) {
   const auto it = std::lower_bound(resident_.begin(), resident_.end(),
                                    static_cast<std::int32_t>(b));
   resident_.erase(it);
-  tiles_dirty_ = true;
+  plan_dirty_ = true;
 }
 
 bool Lattice::tile_holds_defaults(std::int32_t s) const {
@@ -210,7 +206,6 @@ void Lattice::shrink_to_fit() {
   std::vector<Vec3> nforce(slots * kTileNodes, body_force_);
   std::vector<double> nrho(slots * kTileNodes, 1.0);
   std::vector<Vec3> nu(slots * kTileNodes, Vec3{});
-  std::vector<std::uint8_t> nfast(slots * kTileNodes, 0);
   std::vector<std::int32_t> ndir(nblocks_, 0);
   std::vector<std::int32_t> nslot_block(slots, -1);
   std::vector<std::int32_t> nnonext(slots, 0);
@@ -231,7 +226,6 @@ void Lattice::shrink_to_fit() {
     std::copy_n(force_.begin() + oo, kTileNodes, nforce.begin() + no);
     std::copy_n(rho_.begin() + oo, kTileNodes, nrho.begin() + no);
     std::copy_n(u_.begin() + oo, kTileNodes, nu.begin() + no);
-    std::copy_n(fast_.begin() + oo, kTileNodes, nfast.begin() + no);
     ndir[static_cast<std::size_t>(b)] = s;
     nslot_block[s] = b;
     nnonext[s] = nonext_[os];
@@ -244,13 +238,12 @@ void Lattice::shrink_to_fit() {
   force_ = std::move(nforce);
   rho_ = std::move(nrho);
   u_ = std::move(nu);
-  fast_ = std::move(nfast);
   dir_ = std::move(ndir);
   slot_block_ = std::move(nslot_block);
   nonext_ = std::move(nnonext);
   free_slots_.clear();
   free_slots_.shrink_to_fit();
-  tiles_dirty_ = true;
+  plan_dirty_ = true;
 }
 
 std::size_t Lattice::tiled_bytes() const {
@@ -266,7 +259,7 @@ std::size_t Lattice::dense_bytes() const { return n_ * kNodeBytes; }
 // --- per-node mutators -----------------------------------------------------
 
 void Lattice::set_type(int x, int y, int z, NodeType t) {
-  fast_dirty_ = true;
+  plan_dirty_ = true;
   const std::size_t b = block_index(x, y, z);
   std::int32_t s = dir_[b];
   if (s == 0) {
@@ -670,8 +663,7 @@ std::size_t Lattice::shift(int sx, int sy, int sz) {
     nonext_[d.slot] = cnt[k];
     resident_.push_back(d.block);
   }
-  fast_dirty_ = true;
-  tiles_dirty_ = true;
+  plan_dirty_ = true;
   return static_cast<std::size_t>(nx_ - std::abs(sx)) *
          static_cast<std::size_t>(ny_ - std::abs(sy)) *
          static_cast<std::size_t>(nz_ - std::abs(sz));
@@ -839,7 +831,8 @@ void Lattice::update_macroscopic_region(int x0, int x1, int y0, int y1,
   });
 }
 
-Vec3 Lattice::interpolate_velocity(const Vec3& p) const {
+template <class T>
+T Lattice::interpolate(const std::vector<T>& field, const Vec3& p) const {
   Vec3 lc = to_lattice(p);
   lc.x = std::clamp(lc.x, 0.0, static_cast<double>(nx_ - 1));
   lc.y = std::clamp(lc.y, 0.0, static_cast<double>(ny_ - 1));
@@ -850,7 +843,7 @@ Vec3 Lattice::interpolate_velocity(const Vec3& p) const {
   const double fx = lc.x - x0;
   const double fy = lc.y - y0;
   const double fz = lc.z - z0;
-  Vec3 out{};
+  T out{};
   for (int dz = 0; dz < 2; ++dz) {
     const int z = std::min(z0 + dz, nz_ - 1);
     const double wz = dz ? fz : 1.0 - fz;
@@ -860,39 +853,19 @@ Vec3 Lattice::interpolate_velocity(const Vec3& p) const {
       for (int dxn = 0; dxn < 2; ++dxn) {
         const int x = std::min(x0 + dxn, nx_ - 1);
         const double wx = dxn ? fx : 1.0 - fx;
-        out += u_[addr(x, y, z)] * (wx * wy * wz);
+        out += field[addr(x, y, z)] * (wx * wy * wz);
       }
     }
   }
   return out;
 }
 
+Vec3 Lattice::interpolate_velocity(const Vec3& p) const {
+  return interpolate(u_, p);
+}
+
 double Lattice::interpolate_rho(const Vec3& p) const {
-  Vec3 lc = to_lattice(p);
-  lc.x = std::clamp(lc.x, 0.0, static_cast<double>(nx_ - 1));
-  lc.y = std::clamp(lc.y, 0.0, static_cast<double>(ny_ - 1));
-  lc.z = std::clamp(lc.z, 0.0, static_cast<double>(nz_ - 1));
-  const int x0 = std::min(static_cast<int>(lc.x), nx_ - 2 < 0 ? 0 : nx_ - 2);
-  const int y0 = std::min(static_cast<int>(lc.y), ny_ - 2 < 0 ? 0 : ny_ - 2);
-  const int z0 = std::min(static_cast<int>(lc.z), nz_ - 2 < 0 ? 0 : nz_ - 2);
-  const double fx = lc.x - x0;
-  const double fy = lc.y - y0;
-  const double fz = lc.z - z0;
-  double out = 0.0;
-  for (int dz = 0; dz < 2; ++dz) {
-    const int z = std::min(z0 + dz, nz_ - 1);
-    const double wz = dz ? fz : 1.0 - fz;
-    for (int dy = 0; dy < 2; ++dy) {
-      const int y = std::min(y0 + dy, ny_ - 1);
-      const double wy = dy ? fy : 1.0 - fy;
-      for (int dxn = 0; dxn < 2; ++dxn) {
-        const int x = std::min(x0 + dxn, nx_ - 1);
-        const double wx = dxn ? fx : 1.0 - fx;
-        out += rho_[addr(x, y, z)] * (wx * wy * wz);
-      }
-    }
-  }
-  return out;
+  return interpolate(rho_, p);
 }
 
 void Lattice::set_periodic(bool px, bool py, bool pz) {
@@ -907,8 +880,6 @@ void Lattice::step() {
 }
 
 void Lattice::step_no_macro() {
-  ensure_tiles();
-  ensure_fast_flags();
   if (segmented_) {
     ensure_plan();
     site_updates_ += fused_sweep_segmented();
@@ -934,7 +905,7 @@ std::uint64_t Lattice::fused_scatter_node(const double* f, double* ft,
                                           const std::int32_t* nrow,
                                           NodeType tt, std::size_t a,
                                           std::size_t fb, int x, int y, int z,
-                                          int lx, int ly, int lz) {
+                                          int lx, int ly, int lz, bool fast) {
   constexpr std::size_t TN = kTileNodes;
   if (tt != NodeType::Fluid) {
     // Velocity/Coupling: push the stored populations outward (no
@@ -965,7 +936,7 @@ std::uint64_t Lattice::fused_scatter_node(const double* f, double* ft,
   }
   collide_node(a, post);
 
-  if (fast_[a]) {
+  if (fast) {
     // x-rim column of a fast node: route through the neighbour-slot table.
     for (int q = 0; q < kQ; ++q) {
       const std::size_t ja =
@@ -1015,6 +986,11 @@ std::uint64_t Lattice::fused_scatter_node(const double* f, double* ft,
 }
 
 std::uint64_t Lattice::fused_sweep_scalar() {
+  // The oracle: every active node takes the generic path, with no node
+  // classification at all. An interior all-Fluid node writes the same
+  // slots either way (its targets are in the box and Fluid, and periodic
+  // wrap is the identity there), so the segmented sweep must agree with
+  // this one bit for bit.
   constexpr int S = kTileSide;
   constexpr std::size_t TN = kTileNodes;
   const double* f = f_.data();
@@ -1024,70 +1000,25 @@ std::uint64_t Lattice::fused_sweep_scalar() {
       [&](std::size_t tb, std::size_t te) {
         std::uint64_t local = 0;
         for (std::size_t t = tb; t < te; ++t) {
-          const std::size_t b = static_cast<std::size_t>(resident_[t]);
-          const std::int32_t s = dir_[b];
-          int bx, by, bz;
-          block_coords(b, bx, by, bz);
-          const int X0 = bx << kTileShift;
-          const int Y0 = by << kTileShift;
-          const int Z0 = bz << kTileShift;
+          const std::int32_t s = tile_slot(t);
+          int X0, Y0, Z0;
+          tile_origin(t, X0, Y0, Z0);
           const int vx = std::min(S, nx_ - X0);
           const int vy = std::min(S, ny_ - Y0);
           const int vz = std::min(S, nz_ - Z0);
-          const std::int32_t* nrow =
-              nbr_.data() + static_cast<std::size_t>(s) * 27;
           const std::size_t base = static_cast<std::size_t>(s) * TN;
-          // Distribution base of this slot: node (slot, cell) direction q
-          // lives at fslot + cell + q * TN.
           const std::size_t fslot = static_cast<std::size_t>(s) * kQ * TN;
           for (int lz = 0; lz < vz; ++lz) {
-            const int z = Z0 + lz;
             for (int ly = 0; ly < vy; ++ly) {
-              const int y = Y0 + ly;
-              // Per-row scatter bases for the fast path: with lx in
-              // [1, vx-2] the x-component of every push stays inside this
-              // tile, so the q-target tile is fixed along the row (only y
-              // and z can cross a rim) and the target cell advances by +1
-              // with lx. The whole 18-way scatter then collapses to
-              // `ft[fjrow[q] + lx]`; only the two x-rim columns still
-              // route per node through the neighbour table. Resolved
-              // lazily on the row's first fast interior node, so rows
-              // without one (the bulk of wall-heavy vessel tiles) skip
-              // the 19 nbr_addr resolutions entirely.
-              std::size_t fjrow[kQ];
-              bool fjrow_valid = false;
               for (int lx = 0; lx < vx; ++lx) {
                 const std::size_t c = cell_of(lx, ly, lz);
-                const std::size_t a = base + c;
-                const NodeType tt = type_[a];
+                const NodeType tt = type_[base + c];
                 if (tt == NodeType::Exterior || tt == NodeType::Wall) {
                   continue;
                 }
-                const std::size_t fb = fslot + c;
-                if (tt == NodeType::Fluid && fast_[a] && lx >= 1 &&
-                    lx + 1 < vx) {
-                  // Row fast path: per-row bases, computed at most once.
-                  if (!fjrow_valid) {
-                    for (int q = 0; q < kQ; ++q) {
-                      const std::size_t ja = nbr_addr(
-                          nrow, 1 + kC[q][0], ly + kC[q][1], lz + kC[q][2]);
-                      fjrow[q] = faddr(ja, q) - 1;
-                    }
-                    fjrow_valid = true;
-                  }
-                  std::array<double, kQ> post;
-                  for (int q = 0; q < kQ; ++q) {
-                    post[q] = f[fb + static_cast<std::size_t>(q) * TN];
-                  }
-                  collide_node(a, post);
-                  ++local;
-                  for (int q = 0; q < kQ; ++q) {
-                    ft[fjrow[q] + static_cast<std::size_t>(lx)] = post[q];
-                  }
-                  continue;
-                }
-                local += fused_scatter_node(f, ft, nrow, tt, a, fb, X0 + lx,
-                                            y, z, lx, ly, lz);
+                local += fused_scatter_node(f, ft, nullptr, tt, base + c,
+                                            fslot + c, X0 + lx, Y0 + ly,
+                                            Z0 + lz, lx, ly, lz, false);
               }
             }
           }
@@ -1131,7 +1062,9 @@ std::uint64_t Lattice::fused_sweep_segmented() {
               }
             }
             // Remaining active lanes (x rims, boundary-adjacent Fluid,
-            // Velocity/Coupling) take the shared per-node path.
+            // Velocity/Coupling) take the shared per-node path; the rim
+            // lanes the plan classified fast route through the
+            // neighbour table.
             std::uint16_t m = row.scalar_mask;
             while (m) {
               const int lx = __builtin_ctz(m);
@@ -1140,7 +1073,8 @@ std::uint64_t Lattice::fused_sweep_segmented() {
               local += fused_scatter_node(
                   f, ft, nrow, type_[a], a,
                   fslot + c0 + static_cast<std::size_t>(lx), X0 + lx,
-                  Y0 + row.ly, Z0 + row.lz, lx, row.ly, row.lz);
+                  Y0 + row.ly, Z0 + row.lz, lx, row.ly, row.lz,
+                  (row.rim_fast >> lx) & 1u);
             }
           }
         }
@@ -1545,8 +1479,8 @@ void Lattice::set_collision_model(CollisionModel model, double magic) {
   magic_ = magic;
 }
 
-void Lattice::ensure_tiles() {
-  if (!tiles_dirty_) return;
+void Lattice::ensure_plan() {
+  if (!plan_dirty_) return;
   nbr_.assign(slot_block_.size() * 27, 0);
   for (const std::int32_t b : resident_) {
     const std::int32_t s = dir_[static_cast<std::size_t>(b)];
@@ -1567,72 +1501,8 @@ void Lattice::ensure_tiles() {
       }
     }
   }
-  ++tiles_epoch_;
-  tiles_dirty_ = false;
-}
-
-void Lattice::ensure_fast_flags() {
-  if (!fast_dirty_) return;
-  // Each tile rewrites only its own flags from the stored types. Flags of
-  // the exterior tile stay zero and those of free slots are never read
-  // (reset_slot clears them on reuse).
-  exec::parallel_for(resident_.size(), [&](std::size_t t) {
-    const std::size_t b = static_cast<std::size_t>(resident_[t]);
-    const std::int32_t s = dir_[b];
-    int bx, by, bz;
-    block_coords(b, bx, by, bz);
-    const int X0 = bx << kTileShift;
-    const int Y0 = by << kTileShift;
-    const int Z0 = bz << kTileShift;
-    const int vx = std::min(kTileSide, nx_ - X0);
-    const int vy = std::min(kTileSide, ny_ - Y0);
-    const int vz = std::min(kTileSide, nz_ - Z0);
-    const std::size_t base = static_cast<std::size_t>(s) * kTileNodes;
-    std::fill_n(fast_.begin() + base, kTileNodes, std::uint8_t{0});
-    for (int lz = 0; lz < vz; ++lz) {
-      const int z = Z0 + lz;
-      if (z < 1 || z >= nz_ - 1) continue;
-      for (int ly = 0; ly < vy; ++ly) {
-        const int y = Y0 + ly;
-        if (y < 1 || y >= ny_ - 1) continue;
-        for (int lx = 0; lx < vx; ++lx) {
-          const int x = X0 + lx;
-          if (x < 1 || x >= nx_ - 1) continue;
-          const std::size_t a = base + cell_of(lx, ly, lz);
-          if (type_[a] != NodeType::Fluid) continue;
-          // Fast nodes require an all-Fluid neighbourhood (the D3Q19
-          // stencil is symmetric, so sources and targets are the same
-          // set): the push kernel can then skip every bounds/type check,
-          // and its direct 18-way scatter stays race-free under the
-          // parallel tile decomposition (it never writes into a
-          // Velocity/Coupling node's self-copied slots).
-          bool ok = true;
-          for (int q = 1; q < kQ && ok; ++q) {
-            ok = type_[addr(x - kC[q][0], y - kC[q][1], z - kC[q][2])] ==
-                 NodeType::Fluid;
-          }
-          fast_[a] = ok ? 1 : 0;
-        }
-      }
-    }
-  });
-  ++fast_epoch_;
-  fast_dirty_ = false;
-}
-
-void Lattice::ensure_plan() {
-  ensure_tiles();
-  ensure_fast_flags();
-  // The plan depends only on residency/neighbour tables (tiles epoch) and
-  // node classification (fast epoch), so it stays valid exactly while
-  // both do. Everything that can move nodes -- reclassify_solid, shift,
-  // materialize/release, checkpoint load -- already dirties one of them.
-  if (plan_tiles_epoch_ == tiles_epoch_ && plan_fast_epoch_ == fast_epoch_) {
-    return;
-  }
   plan_.rebuild(*this);
-  plan_tiles_epoch_ = tiles_epoch_;
-  plan_fast_epoch_ = fast_epoch_;
+  plan_dirty_ = false;
   ++plan_rebuilds_;
   obs::Tracer& tracer = obs::Tracer::instance();
   if (tracer.enabled()) {

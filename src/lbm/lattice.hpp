@@ -83,10 +83,11 @@ class Lattice {
   static constexpr std::size_t kTileMask = kTileNodes - 1;
 
   /// Bytes of per-node state a tile stores (f + ftmp + type + tau + ubc +
-  /// force + rho + u + fast flag); the basis of tiled_bytes()/dense_bytes().
+  /// force + rho + u = 393 B); the basis of tiled_bytes()/dense_bytes().
+  /// Node classification lives in the sweep plan, not per node.
   static constexpr std::size_t kNodeBytes =
       2 * kQ * sizeof(double) + sizeof(NodeType) + sizeof(double) +
-      3 * sizeof(Vec3) + sizeof(double) + sizeof(std::uint8_t);
+      3 * sizeof(Vec3) + sizeof(double);
 
   /// \param nx,ny,nz  node counts
   /// \param origin    physical position of node (0,0,0)
@@ -277,8 +278,10 @@ class Lattice {
   /// macroscopic refresh run q-outer/lane-inner over the cached
   /// SweepPlan's contiguous fast-Fluid segments. Bit-exact against the
   /// per-node scalar sweep, which is kept as the in-process oracle (see
-  /// tests/test_sweep_plan.cpp); the toggle exists for verification and
-  /// the ablation bench.
+  /// tests/test_sweep_plan.cpp). The oracle sends every active node
+  /// through the generic bounds/type/bounce-back path and reads no node
+  /// classification, so the comparison checks the plan's. The toggle
+  /// exists for verification and the ablation bench.
   void set_segmented_kernel(bool on) { segmented_ = on; }
 
   /// Sweep-plan rebuilds performed so far (observability counter; a
@@ -416,30 +419,18 @@ class Lattice {
   std::vector<Vec3> u_;
   std::uint64_t site_updates_ = 0;
 
-  // Streaming fast path: interior fluid nodes whose full neighbourhood is
-  // Fluid scatter with precomputed offsets, skipping all bounds/type
-  // checks. Recomputed lazily whenever node types change.
-  std::vector<std::uint8_t> fast_;
-  bool fast_dirty_ = true;
   CollisionModel collision_ = CollisionModel::Bgk;
   double magic_ = 3.0 / 16.0;
 
-  // Per-slot 27-entry neighbour-slot table (tile rim streaming); rebuilt
-  // lazily whenever tiles are materialized, released or remapped.
+  // Segmented-kernel state: the per-slot 27-entry neighbour-slot table
+  // (tile rim streaming) and the sweep plan, the only node
+  // classification. Every change of residency or node types (set_type,
+  // shift, materialize/release, shrink_to_fit, checkpoint load) sets
+  // plan_dirty_; ensure_plan() then rebuilds both together.
   std::vector<std::int32_t> nbr_;
-  bool tiles_dirty_ = true;
-
-  // Cached sweep plan for the segmented kernels. The epochs count actual
-  // rebuilds of the neighbour table / fast flags; ensure_plan() compares
-  // them against the epochs the plan was built at, so every path that
-  // sets a dirty bit (set_type, shift, materialize/release,
-  // shrink_to_fit, checkpoint load) invalidates the plan for free.
   SweepPlan plan_;
+  bool plan_dirty_ = true;
   bool segmented_ = true;
-  std::uint64_t tiles_epoch_ = 0;
-  std::uint64_t fast_epoch_ = 0;
-  std::uint64_t plan_tiles_epoch_ = ~std::uint64_t{0};
-  std::uint64_t plan_fast_epoch_ = ~std::uint64_t{0};
   std::uint64_t plan_rebuilds_ = 0;
 
   // Reciprocal magics for decompose() (Lemire-style unsigned division);
@@ -515,9 +506,13 @@ class Lattice {
     return ensure(x, y, z);
   }
 
-  void ensure_fast_flags();
-  void ensure_tiles();
   void ensure_plan();
+
+  /// Trilinear interpolation of a per-node pool (u_ or rho_) at a
+  /// physical point, clamped to the lattice: the shared body of
+  /// interpolate_velocity() and interpolate_rho().
+  template <class T>
+  T interpolate(const std::vector<T>& field, const Vec3& p) const;
 
   /// Rim streaming: storage address of the node at local tile coordinates
   /// (lx, ly, lz) in [-1, kTileSide], resolved through the per-slot
@@ -544,15 +539,18 @@ class Lattice {
   // Both return the number of Fluid collisions performed.
   std::uint64_t fused_sweep_scalar();
   std::uint64_t fused_sweep_segmented();
-  /// One non-segment node of the fused push sweep: Velocity/Coupling
-  /// self-copy + outward push, or Fluid collide + scatter (x-rim fast
-  /// columns via the neighbour table, otherwise the bounds/periodic/
-  /// bounce-back path). Shared by both sweeps so the two cannot diverge.
+  /// One node of the fused push sweep: Velocity/Coupling self-copy +
+  /// outward push, or Fluid collide + scatter. A `fast` node (an x-rim
+  /// lane the plan classified interior all-Fluid) routes through the
+  /// slot's neighbour-table row `nrow` at local coordinates (lx, ly, lz);
+  /// every other node takes the bounds/periodic/bounce-back path, which
+  /// reads neither. Shared by both sweeps so the two cannot diverge.
   /// Returns 1 for a Fluid collision, 0 otherwise.
   std::uint64_t fused_scatter_node(const double* f, double* ft,
                                    const std::int32_t* nrow, NodeType tt,
                                    std::size_t a, std::size_t fb, int x,
-                                   int y, int z, int lx, int ly, int lz);
+                                   int y, int z, int lx, int ly, int lz,
+                                   bool fast);
   /// Vectorized collide + scatter over one row segment, split into
   /// maximal uniformly-forced lane runs.
   std::uint64_t fused_collide_segment(const double* f, double* ft,

@@ -1,12 +1,15 @@
 #pragma once
 
 /// \file sweep_plan.hpp
-/// Cached per-tile sweep plan for the hot lattice kernels. For every
+/// Cached per-tile sweep plan for the hot lattice kernels, and the
+/// lattice's only node classification. A node is *fast* when it is
+/// Fluid, lies in [1, n-2] on every axis and all 18 of its pull sources
+/// are Fluid: its push then needs no bounds or type checks. For every
 /// resident tile the plan records, per (lz, ly) row, the run-length
-/// segments of consecutive *interior fast-Fluid* cells (the `fast_` flag:
-/// Fluid with an all-Fluid 19-neighbourhood, away from the tile's x rim)
-/// plus a bitmask of the remaining collide/stream-active lanes. Rows with
-/// neither are omitted entirely, so wall-heavy vessel tiles stop paying
+/// segments of consecutive fast cells away from the tile's x rim
+/// (lx in [1, vx-2]), a bitmask of the remaining collide/stream-active
+/// lanes, and which of those are fast x-rim lanes. Rows with no active
+/// lane are omitted entirely, so wall-heavy vessel tiles stop paying
 /// per-row setup for rows that do no work.
 ///
 /// For each row that owns at least one segment the 19 scatter bases of
@@ -14,14 +17,14 @@
 /// + lx) are precomputed once per *plan* instead of once per row per
 /// step. Bases are pool indices resolved through the tile neighbour
 /// table, so they stay valid exactly as long as the tile directory and
-/// the fast flags do; the owning Lattice rebuilds the plan lazily off the
-/// same dirty epochs (see Lattice::ensure_plan), which makes
-/// reclassify_solid, shift(), materialize/release and checkpoint load
-/// invalidate it for free.
+/// the node types do; the owning Lattice sets one dirty flag on every
+/// change of either and rebuilds the table and the plan together (see
+/// Lattice::ensure_plan).
 ///
 /// The plan is a pure acceleration structure: the segmented kernels that
-/// consume it are bit-exact against the per-node scalar sweep
-/// (tests/test_sweep_plan.cpp), and it is never serialized.
+/// consume it are bit-exact against the per-node scalar sweep, which
+/// reads no classification (tests/test_sweep_plan.cpp), and it is never
+/// serialized.
 
 #include <array>
 #include <cstddef>
@@ -49,6 +52,7 @@ class SweepPlan {
     std::uint32_t seg_begin = 0;   ///< first entry in segs()
     std::uint32_t base_index = 0;  ///< entry in bases(); kNoBases if no segs
     std::uint16_t scalar_mask = 0; ///< active lanes outside every segment
+    std::uint16_t rim_fast = 0;    ///< fast lanes of scalar_mask (x rims)
     std::uint8_t nsegs = 0;
     std::uint8_t ly = 0;
     std::uint8_t lz = 0;
@@ -56,9 +60,9 @@ class SweepPlan {
 
   static constexpr std::uint32_t kNoBases = 0xFFFFFFFFu;
 
-  /// Rebuild from the lattice's current residency, types and fast flags.
-  /// The caller (Lattice::ensure_plan) guarantees the neighbour table and
-  /// fast flags are up to date.
+  /// Classify every node and rebuild from the lattice's current
+  /// residency and types, in parallel over resident tiles. The caller
+  /// (Lattice::ensure_plan) guarantees the neighbour table is up to date.
   void rebuild(const Lattice& lat);
 
   void clear();

@@ -68,7 +68,6 @@ TEST_F(SetupTest, HealthKeysParse) {
   cfg.set("health_interval", "5");
   cfg.set("health_rho_min", "0.8");
   cfg.set("health_max_mach", "0.2");
-  cfg.set("health_check_mach", "false");
   cfg.set("health_max_i1", "30");
   const AprParams p = params_from_config(cfg);
   EXPECT_TRUE(p.health.enabled);
@@ -76,7 +75,6 @@ TEST_F(SetupTest, HealthKeysParse) {
   EXPECT_EQ(p.health.interval, 5);
   EXPECT_DOUBLE_EQ(p.health.rho_min, 0.8);
   EXPECT_DOUBLE_EQ(p.health.max_mach, 0.2);
-  EXPECT_FALSE(p.health.check_mach);
   EXPECT_DOUBLE_EQ(p.health.max_i1, 30.0);
 
   Config off;

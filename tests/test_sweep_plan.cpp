@@ -6,7 +6,9 @@
 /// scalar oracle, must agree in every byte of observable state -- for
 /// BGK and TRT, with and without Guo forcing, across periodic wrap, and
 /// after every operation that invalidates the plan (reclassification,
-/// window shifts, checkpoint round-trips).
+/// window shifts, tile materialize/release, checkpoint round-trips). The
+/// oracle reads no node classification, so these tests also check the
+/// plan's.
 
 #include <gtest/gtest.h>
 
@@ -208,11 +210,30 @@ TEST(SweepPlan, MixedPerNodeForcesSplitSegmentsBitwise) {
   }
 }
 
+TEST(SweepPlan, ConcaveWallBitwiseEqualsScalar) {
+  // A wall rib along x inside the duct. The Fluid nodes diagonal to it
+  // see Wall only through an edge pull source (q >= 7), which a convex
+  // duct never produces: every duct node next to a wall edge also has a
+  // wall face neighbour. The classification must still keep them off
+  // the segments.
+  Pair p;
+  for (Lattice* lat : {&p.seg, &p.sca}) {
+    const int cy = lat->ny() / 2;
+    const int cz = lat->nz() / 2;
+    for (int x = 0; x < lat->nx(); ++x) {
+      lat->set_type(x, cy + 2, cz, NodeType::Wall);
+    }
+    lat->set_body_force(Vec3{1e-5, 0.0, 0.0});
+  }
+  p.step(10);
+  p.expect_equal();
+}
+
 TEST(SweepPlan, InvalidatedByReclassifySolid) {
   Pair p;
   p.step(3);
   const std::uint64_t rebuilds = p.seg.plan_rebuilds();
-  // Narrow the duct mid-run: reclassification dirties the fast flags (and
+  // Narrow the duct mid-run: reclassification changes node types (and
   // possibly residency), which must invalidate the plan.
   for (Lattice* lat : {&p.seg, &p.sca}) {
     const int cy = lat->ny() / 2;
@@ -268,6 +289,64 @@ TEST(SweepPlan, InvalidatedByCheckpointLoad) {
   }
   expect_nodes_bitwise_equal(restored, p.sca);
   expect_serialized_equal(restored, p.sca);
+}
+
+TEST(SweepPlan, InvalidatedByTileMaterializeAndRelease) {
+  Pair p;
+  p.step(2);
+  // Block (0, 0, 0) lies wholly outside the duct, so it is vacant. A
+  // tile that appears or disappears shifts the resident order the plan
+  // is indexed by, even when no active node changes.
+  const std::size_t i = p.seg.idx(5, 5, 5);
+  const std::size_t tiles = p.seg.num_tiles();
+  ASSERT_FALSE(p.seg.node_resident(i));
+  const auto on_both = [&](const auto& op, std::size_t expect_tiles) {
+    const std::uint64_t rebuilds = p.seg.plan_rebuilds();
+    op(p.seg);
+    op(p.sca);
+    EXPECT_EQ(p.seg.num_tiles(), expect_tiles);
+    EXPECT_EQ(p.sca.num_tiles(), expect_tiles);
+    p.step(3);
+    EXPECT_GT(p.seg.plan_rebuilds(), rebuilds);
+    p.expect_equal();
+  };
+
+  // set_type materializes the block: an isolated Fluid node that bounces
+  // back in every direction.
+  on_both(
+      [&](Lattice& lat) {
+        lat.set_type(i, NodeType::Fluid);
+        lat.set_f_node(i, probe_f(i));
+      },
+      tiles + 1);
+  // Back to Exterior with default state: the tile is released again.
+  on_both(
+      [&](Lattice& lat) {
+        lat.reset_node(i);
+        lat.set_type(i, NodeType::Exterior);
+      },
+      tiles);
+  // A per-node field write materializes it with no type change.
+  on_both([&](Lattice& lat) { lat.set_f_node(i, probe_f(i)); }, tiles + 1);
+}
+
+TEST(SweepPlan, CopiedLatticeKeepsItsPlan) {
+  // Copy-assignment restores a snapshot (the tree_bulk benchmark path):
+  // the copy carries a plan valid for its own identical slot layout, so
+  // stepping it must not rebuild, and must still match the oracle.
+  Pair p;
+  p.step(2);
+  Lattice copy(kT, kT, kT, Vec3{}, 1.0, 0.8);
+  copy = p.seg;
+  const std::uint64_t rebuilds = copy.plan_rebuilds();
+  EXPECT_EQ(rebuilds, p.seg.plan_rebuilds());
+  for (int s = 0; s < 5; ++s) {
+    copy.step();
+    p.sca.step();
+  }
+  EXPECT_EQ(copy.plan_rebuilds(), rebuilds);
+  expect_nodes_bitwise_equal(copy, p.sca);
+  expect_serialized_equal(copy, p.sca);
 }
 
 TEST(SweepPlan, WorkerCountInvariance) {
