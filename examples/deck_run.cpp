@@ -9,6 +9,7 @@
 ///   ./deck_run examples/decks/tube.cfg steps=120 target_hematocrit=0.2
 
 #include <cstdio>
+#include <exception>
 
 #include "src/apr/diagnostics.hpp"
 #include "src/apr/setup.hpp"
@@ -16,7 +17,7 @@
 
 using namespace apr;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   set_log_level(LogLevel::Warn);
 
   // Deck file (first non key=value argument) + command-line overrides.
@@ -38,6 +39,11 @@ int main(int argc, char** argv) {
   }
   cfg.merge(Config::from_args(argc, argv));
 
+  // Run-control keys first: make_simulation rejects any deck key nobody
+  // has read.
+  const double body_force = cfg.get_double("body_force", 6e6);
+  const int warmup = cfg.get_int("warmup_steps", 300);
+  const int steps = cfg.get_int("steps", 60);
   core::SimulationSetup setup = core::make_simulation(cfg);
   auto& sim = *setup.simulation;
   std::printf("coarse lattice %dx%dx%d at %.2f um; window outer %.1f um; "
@@ -48,8 +54,7 @@ int main(int argc, char** argv) {
 
   sim.initialize_flow(Vec3{});
   sim.coarse().set_periodic(false, false, true);
-  sim.set_body_force_density(Vec3{0, 0, cfg.get_double("body_force", 6e6)});
-  const int warmup = cfg.get_int("warmup_steps", 300);
+  sim.set_body_force_density(Vec3{0, 0, body_force});
   for (int s = 0; s < warmup; ++s) sim.coarse().step();
 
   sim.place_window(Vec3{});
@@ -60,7 +65,6 @@ int main(int argc, char** argv) {
 
   core::RunRecorder recorder(Vec3{}, Vec3{0, 0, 1});
   recorder.sample(sim);
-  const int steps = cfg.get_int("steps", 60);
   for (int s = 0; s < steps; ++s) {
     sim.step();
     recorder.sample(sim);
@@ -77,4 +81,8 @@ int main(int argc, char** argv) {
               "deck_run_samples.csv\n",
               recorder.mean_ctc_speed(), sim.physical_time());
   return 0;
+} catch (const std::exception& e) {
+  // Bad decks (unparsable values, unknown keys) end here.
+  std::fprintf(stderr, "deck_run: %s\n", e.what());
+  return 1;
 }

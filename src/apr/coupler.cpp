@@ -12,6 +12,14 @@ namespace apr::core {
 
 using lbm::kQ;
 
+namespace {
+
+/// Restriction inset from the fine boundary, in coarse spacings: coarse
+/// nodes closer than this to the window edge keep their own solution.
+constexpr int kRestrictMargin = 2;
+
+}  // namespace
+
 CoarseFineCoupler::CoarseFineCoupler(lbm::Lattice& coarse, lbm::Lattice& fine,
                                      const CouplerConfig& config)
     : coarse_(&coarse), fine_(&fine), cfg_(config) {
@@ -150,11 +158,11 @@ void CoarseFineCoupler::build_footprint() {
   // Coarse node base + r lies in the footprint iff r * n is a fine index
   // on every axis. Its fluid nodes represent the window fluid: same
   // physical viscosity as the fine grid, coarse discretization. Those at
-  // least restrict_margin coarse spacings inside every window face whose
+  // least kRestrictMargin coarse spacings inside every window face whose
   // coincident fine node is Fluid are restricted; nodes nearer the
   // coupling layer keep their own solution.
   const int n = cfg_.n;
-  const int margin = cfg_.restrict_margin * n;
+  const int margin = kRestrictMargin * n;
   const int nf[3] = {fine_->nx(), fine_->ny(), fine_->nz()};
   const int nc[3] = {coarse_->nx(), coarse_->ny(), coarse_->nz()};
   int lo[3];

@@ -47,9 +47,6 @@ struct CouplerConfig {
   int n = 2;            ///< resolution ratio dx_c / dx_f
   double lambda = 1.0;  ///< nu_fine / nu_coarse (physical)
   double tau_coarse = 1.0;  ///< bulk coarse relaxation time
-  /// Restriction inset from the fine boundary, in coarse spacings: coarse
-  /// nodes closer than this to the window edge keep their own solution.
-  int restrict_margin = 2;
 };
 
 class CoarseFineCoupler {

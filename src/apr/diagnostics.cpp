@@ -21,7 +21,7 @@ RegionReport region_report(const Window& window,
     RegionStats& stats = report.regions[region];
     ++stats.cells;
     scratch.assign(x.begin(), x.end());
-    i1_sum[region] += pool.model().max_i1(scratch);
+    i1_sum[region] += pool.model().deformation_scan(scratch).max_i1;
     double speed = 0.0;
     for (const Vec3& v : pool.velocities(s)) speed += norm(v);
     speed_sum[region] += speed / static_cast<double>(x.size());

@@ -53,7 +53,7 @@ void EfsiSimulation::place_ctc(const Vec3& position) {
 int EfsiSimulation::fill_region(const Aabb& region,
                                 const cells::RbcTile& tile) {
   const double rmax = rbc_model_->max_radius();
-  const double min_dist = 0.15 * rmax;
+  const double min_dist = cells::insertion_clearance(rmax);
   cells::SubGrid grid(region.inflated(2.0 * rmax),
                       std::max(min_dist, rmax / 2.0));
   cells::fill_subgrid(grid, {rbcs_.get(), ctcs_.get()});

@@ -40,9 +40,6 @@ AprParams params_from_config(const Config& config) {
   p.window.target_hematocrit = config.get_double("target_hematocrit", 0.1);
   p.window.repopulation_threshold =
       config.get_double("repopulation_threshold", 0.75);
-  p.window.min_cell_distance =
-      config.get_double("min_cell_distance_um", 0.0) * kUm;
-  p.window.fill_samples = config.get_int("fill_samples", 4);
   p.window.validate();
   p.maintain_interval = config.get_int("maintain_interval", 3);
   p.move.trigger_distance = config.get_double("move_trigger_um", 1.5) * kUm;
@@ -95,12 +92,6 @@ AprParams params_from_config(const Config& config) {
   if (p.health.enabled && p.health.interval < 1) {
     throw std::runtime_error("setup: health_interval must be >= 1");
   }
-
-  // Observability (also trajectory-neutral, see ObsParams): trace /
-  // metrics outputs and the sampling cadence.
-  p.obs.trace_file = config.get_string("obs_trace_file", "");
-  p.obs.metrics_file = config.get_string("obs_metrics_file", "");
-  p.obs.metrics_interval = config.get_int("obs_metrics_interval", 1);
   return p;
 }
 
@@ -153,6 +144,16 @@ SimulationSetup make_simulation(const Config& config) {
   setup.rbc_model = rbc_model_from_config(config);
   setup.ctc_model = ctc_model_from_config(config);
   setup.domain = domain_from_config(config);
+  const std::vector<std::string> unread = config.unread_keys();
+  if (!unread.empty()) {
+    std::string names;
+    for (const std::string& key : unread) {
+      names += (names.empty() ? "" : ", ") + key;
+    }
+    throw std::runtime_error("setup: unknown deck key(s): " + names +
+                             " (recognized keys are listed in "
+                             "src/apr/setup.hpp)");
+  }
   setup.simulation = std::make_unique<AprSimulation>(
       setup.domain, setup.rbc_model, setup.ctc_model, setup.params);
   return setup;

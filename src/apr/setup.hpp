@@ -9,7 +9,11 @@
 /// cell models, flow domain and APR parameters, so runs can be
 /// re-parameterized without recompiling.
 ///
-/// Recognized keys (defaults in parentheses):
+/// Recognized keys (defaults in parentheses). The deck fails closed:
+/// make_simulation() throws std::runtime_error naming every key in the
+/// deck that no reader consumed, so a misspelled or retired key is an
+/// error, not a silent default. Drivers that keep their own run-control
+/// keys in the same deck read them before calling make_simulation().
 ///   # lattice / coupling
 ///   dx_coarse_um (2.0), resolution_ratio (2), tau_coarse (1.0)
 ///   bulk_viscosity_cp (4.0), plasma_viscosity_cp (1.2)
@@ -19,7 +23,6 @@
 ///   # decks that mis-tile). Defaults: outer = 22 um = 4 x 5.5 um tiles.
 ///   window_proper_um (6), onramp_um (2.5), insertion_um (5.5)
 ///   target_hematocrit (0.1), repopulation_threshold (0.75)
-///   min_cell_distance_um (0 = derive from RBC size), fill_samples (4)
 ///   maintain_interval (3), move_trigger_um (1.5)
 ///   # numerical-health watchdog (see apr/health.hpp, DESIGN.md §10)
 ///   health (off | throw | log | recover), health_interval (10)
@@ -27,13 +30,12 @@
 ///   health_rho_min (0.5), health_rho_max (2.0), health_max_mach (0.3)
 ///   health_max_i1 (50), health_max_volume_drift (0.5),
 ///   health_min_det_f (1e-3)
-///   # observability (see src/obs, DESIGN.md §11)
-///   obs_trace_file ("" = tracing off), obs_metrics_file ("" = off)
-///   obs_metrics_interval (1)
 ///   # cells
 ///   rbc_radius_um (1.0), rbc_subdivisions (1)
 ///   rbc_shear_modulus (5e-6), rbc_bending_modulus (2e-19)
+///   rbc_ka_global (1e-6), rbc_kv_global (1e-6)
 ///   ctc_radius_um (1.6), ctc_subdivisions (1), ctc_shear_modulus (1e-4)
+///   ctc_bending_modulus (2e-18), ctc_ka_global (1e-5), ctc_kv_global (1e-5)
 ///   # FSI
 ///   contact_cutoff_um (0.4), contact_strength (2e-12)
 ///   wall_cutoff_um (0.5), wall_strength (5e-12)
@@ -76,7 +78,9 @@ std::shared_ptr<fem::MembraneModel> ctc_model_from_config(
 /// std::runtime_error for unknown kinds.
 std::shared_ptr<geometry::Domain> domain_from_config(const Config& config);
 
-/// One-call assembly of a ready AprSimulation from a deck.
+/// One-call assembly of a ready AprSimulation from a deck. Throws
+/// std::runtime_error when the deck holds a key that neither the caller
+/// nor the readers above consumed (Config::unread_keys()).
 SimulationSetup make_simulation(const Config& config);
 
 }  // namespace apr::core

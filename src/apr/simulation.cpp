@@ -221,45 +221,21 @@ AprSimulation::AprSimulation(
   ctcs_ = std::make_unique<cells::CellPool>(ctc_model_.get(),
                                             cells::CellKind::Ctc, 1);
 
-  // Pre-build the RBC tile at slightly above the target hematocrit so
-  // stamping minus overlap rejections still reaches the target.
+  // Pre-build the RBC tile at the target hematocrit (capped below dense
+  // packing); every fill and refill stamps copies of it.
   Rng tile_rng = rng_.fork(0x711Eull);
   const double tile_side =
       std::max(params_.window.insertion_width,
                4.2 * rbc_model_->max_radius());
   tile_ = std::make_unique<cells::RbcTile>(cells::RbcTile::generate(
       *rbc_model_, tile_side,
-      std::min(0.98, params_.window.target_hematocrit *
-                         params_.tile_hematocrit_boost),
-      tile_rng));
+      std::min(0.98, params_.window.target_hematocrit), tile_rng));
   log_info("AprSimulation: tile side ", tile_side * 1e6, " um, ",
            tile_->cell_count(), " RBCs, achieved Ht ",
            tile_->achieved_hematocrit());
 
   mover_ = std::make_unique<WindowMover>(params_.move, coarse_->origin(),
                                          coarse_->dx());
-
-  // Observability wiring. Both are fail-fast: an unwritable metrics path
-  // throws here instead of silently truncating output at the end.
-  if (!params_.obs.metrics_file.empty()) {
-    owned_metrics_sink_ =
-        std::make_unique<obs::MetricsWriter>(params_.obs.metrics_file);
-    metrics_sink_ = owned_metrics_sink_.get();
-  }
-  if (!params_.obs.trace_file.empty()) {
-    obs::Tracer::instance().set_enabled(true);
-  }
-}
-
-void AprSimulation::attach_metrics_sink(obs::MetricsWriter* sink) {
-  metrics_sink_ = sink ? sink : owned_metrics_sink_.get();
-}
-
-void AprSimulation::write_trace() const {
-  if (params_.obs.trace_file.empty()) {
-    throw std::logic_error("write_trace: params().obs.trace_file not set");
-  }
-  obs::Tracer::instance().write_chrome_json(params_.obs.trace_file);
 }
 
 void AprSimulation::initialize_flow(const Vec3& u_lattice, int warmup_steps) {
@@ -692,10 +668,7 @@ void AprSimulation::step() {
   // Metric sampling (see src/obs/metrics.hpp); zero work with no sink.
   if (sampling) {
     last_step_seconds_ = (obs::trace_now_ns() - step_t0) * 1e-9;
-    if (params_.obs.metrics_interval > 0 &&
-        coarse_steps_ % params_.obs.metrics_interval == 0) {
-      sample_metrics();
-    }
+    sample_metrics();
   }
 }
 

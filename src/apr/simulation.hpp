@@ -65,21 +65,6 @@ void advect_cells(const lbm::Lattice& lat,
                   const std::vector<cells::CellPool*>& pools,
                   ibm::DeltaKernel kernel);
 
-/// Observability configuration (see src/obs and DESIGN.md §11). All
-/// fields are observability-only and excluded from the checkpoint params
-/// digest, so flipping tracing or metrics on never invalidates existing
-/// checkpoints or changes the trajectory.
-struct ObsParams {
-  /// When non-empty, the constructor enables the process-wide obs tracer;
-  /// call write_trace() after the run to emit the Chrome trace JSON.
-  std::string trace_file;
-  /// When non-empty, the constructor opens this JSONL metrics sink
-  /// (fail-fast: an unwritable path throws at construction).
-  std::string metrics_file;
-  /// Coarse steps between metric samples (<= 0 disables sampling).
-  int metrics_interval = 1;
-};
-
 struct AprParams {
   double dx_coarse = 2.5e-6;  ///< [m]
   int n = 5;                  ///< resolution ratio (dx_fine = dx_coarse/n)
@@ -92,7 +77,6 @@ struct AprParams {
   int maintain_interval = 5;  ///< coarse steps between density maintenance
   std::size_t rbc_capacity = 512;
   std::uint64_t seed = 42;
-  double tile_hematocrit_boost = 1.0;  ///< tile packing factor vs target
   /// Collision operator for both lattices (paper §2.1 uses BGK; TRT and
   /// MRT are the stability/accuracy extensions, see lbm/lattice.hpp).
   /// Shapes the trajectory, so it is part of the checkpoint params
@@ -105,14 +89,11 @@ struct AprParams {
   /// the healthy trajectory, so they are deliberately excluded from the
   /// checkpoint params digest.
   HealthParams health;
-  /// Observability: tracing / metrics wiring. Like `health`, excluded
-  /// from the checkpoint params digest (see ObsParams).
-  ObsParams obs;
 };
 
 /// Fingerprint (FNV-1a) of every AprParams field that shapes the
 /// trajectory -- the digest the checkpoint layer embeds in META sections.
-/// Observability-only fields (health, obs) are excluded. Exposed so
+/// The observability-only health settings are excluded. Exposed so
 /// drivers can stamp run manifests before constructing a simulation.
 std::uint64_t params_fingerprint(const AprParams& params);
 
@@ -181,7 +162,9 @@ class AprSimulation {
   /// without the CTC/mover machinery.
   WindowRelocationStats relocate_window(const Vec3& center);
 
-  /// Stats of the most recent window relocation (place or move).
+  /// Stats of the most recent window relocation (place or move) in this
+  /// process; load_checkpoint() resets them, since they describe how the
+  /// window was built, not the state.
   const WindowRelocationStats& last_relocation() const {
     return last_relocation_;
   }
@@ -230,27 +213,20 @@ class AprSimulation {
   obs::Metrics& metrics() { return metrics_; }
   const obs::Metrics& metrics() const { return metrics_; }
 
-  /// Share a driver-owned JSONL sink (non-owning; nullptr detaches).
-  /// Overrides any sink opened from params().obs.metrics_file, letting
-  /// multi-run drivers (fig6's two seeds) interleave into one file.
-  void attach_metrics_sink(obs::MetricsWriter* sink);
+  /// Share a driver-owned JSONL sink (non-owning; nullptr detaches), so
+  /// multi-run drivers (fig6's two seeds) can interleave into one file.
+  void attach_metrics_sink(obs::MetricsWriter* sink) { metrics_sink_ = sink; }
 
   /// Refresh every gauge/counter in metrics() from the current state and,
   /// when a sink is attached, append one JSONL sample. step() calls this
-  /// automatically every params().obs.metrics_interval coarse steps while
-  /// a sink is attached; it is public so drivers and tests can force a
-  /// sample.
+  /// at the end of every coarse step while a sink is attached; it is
+  /// public so drivers and tests can force a sample.
   void sample_metrics();
 
   /// The trajectory-shaping parameter digest the checkpoint layer embeds
-  /// in every META section (health/obs params excluded). Run manifests
+  /// in every META section (health params excluded). Run manifests
   /// record it so artifacts can be matched to compatible checkpoints.
   std::uint64_t params_fingerprint() const;
-
-  /// Write the accumulated trace to params().obs.trace_file. Throws
-  /// std::logic_error when no trace file was configured, and
-  /// std::runtime_error on I/O failure.
-  void write_trace() const;
 
   // --- checkpoint / restart ------------------------------------------------
   /// Assemble the complete simulation state as an io::Checkpoint container:
@@ -335,12 +311,10 @@ class AprSimulation {
   perf::StepProfiler profiler_;
   WindowRelocationStats last_relocation_;
 
-  // Observability state. The owned sink serves params().obs.metrics_file;
-  // an attached sink (driver-owned) takes precedence. Checkpoint-size
+  // Observability state. The sink is driver-owned. Checkpoint-size
   // bookkeeping is mutable because save_checkpoint() is const and the
   // counters are observability-only.
   obs::Metrics metrics_;
-  std::unique_ptr<obs::MetricsWriter> owned_metrics_sink_;
   obs::MetricsWriter* metrics_sink_ = nullptr;
   double last_step_seconds_ = 0.0;
   mutable std::size_t last_checkpoint_bytes_ = 0;

@@ -4,8 +4,10 @@
 ///
 /// Sections:
 ///   META  counters, Rng stream, body force, window center, trajectory,
-///         relocation bookkeeping, and a digest of the AprParams the
-///         checkpoint was taken under.
+///         and a digest of the AprParams the checkpoint was taken under.
+///         Nothing about how the window was last built: which relocation
+///         path ran is not state, and restoring it would make equal
+///         physical states save different bytes.
 ///   CLAT  coarse LatticeState. The relaxation times inside the window
 ///         footprint are patched back to their bulk values before
 ///         serialization: the footprint adjustment is coupler state,
@@ -61,8 +63,6 @@ std::uint64_t params_digest(const AprParams& p) {
   h.update_pod(p.window.insertion_width);
   h.update_pod(p.window.target_hematocrit);
   h.update_pod(p.window.repopulation_threshold);
-  h.update_pod(p.window.min_cell_distance);
-  h.update_pod(p.window.fill_samples);
   h.update_pod(p.move.trigger_distance);
   h.update_pod(static_cast<std::uint8_t>(p.fsi.kernel));
   h.update_pod(p.fsi.contact_cutoff);
@@ -72,7 +72,6 @@ std::uint64_t params_digest(const AprParams& p) {
   h.update_pod(p.maintain_interval);
   h.update_pod(static_cast<std::uint64_t>(p.rbc_capacity));
   h.update_pod(p.seed);
-  h.update_pod(p.tile_hematocrit_boost);
   h.update_pod(static_cast<std::uint8_t>(p.collision));
   h.update_pod(p.trt_magic);
   return h.value();
@@ -88,9 +87,6 @@ struct Meta {
   std::array<std::uint64_t, 5> rng{};
   std::uint8_t has_window = 0;
   Vec3 window_center{};
-  std::uint8_t reloc_incremental = 0;
-  std::uint64_t reloc_preserved = 0;
-  std::uint64_t reloc_reinit = 0;
   std::vector<Vec3> trajectory;
 
   std::vector<char> serialize() const {
@@ -104,9 +100,6 @@ struct Meta {
     for (const std::uint64_t s : rng) w.pod(s);
     w.pod(has_window);
     w.pod(window_center);
-    w.pod(reloc_incremental);
-    w.pod(reloc_preserved);
-    w.pod(reloc_reinit);
     w.vec(trajectory);
     return w.take();
   }
@@ -123,9 +116,6 @@ struct Meta {
     for (std::uint64_t& s : m.rng) r.pod(s);
     r.pod(m.has_window);
     r.pod(m.window_center);
-    r.pod(m.reloc_incremental);
-    r.pod(m.reloc_preserved);
-    r.pod(m.reloc_reinit);
     r.vec(m.trajectory, 1ull << 30);
     r.expect_end();
     return m;
@@ -147,9 +137,6 @@ io::Checkpoint AprSimulation::make_checkpoint() const {
   meta.rng = rng_.state();
   meta.has_window = (window_ && fine_) ? 1 : 0;
   if (window_) meta.window_center = window_->center();
-  meta.reloc_incremental = last_relocation_.incremental ? 1 : 0;
-  meta.reloc_preserved = last_relocation_.preserved_nodes;
-  meta.reloc_reinit = last_relocation_.reinit_nodes;
   meta.trajectory = trajectory_;
   ckpt.add(kMetaTag, meta.serialize());
 
@@ -278,11 +265,7 @@ void AprSimulation::load_checkpoint(const io::Checkpoint& ckpt) {
   move_count_ = meta.move_count;
   fine_updates_retired_ = meta.fine_updates_retired;
   trajectory_ = std::move(meta.trajectory);
-  last_relocation_.incremental = meta.reloc_incremental != 0;
-  last_relocation_.preserved_nodes =
-      static_cast<std::size_t>(meta.reloc_preserved);
-  last_relocation_.reinit_nodes =
-      static_cast<std::size_t>(meta.reloc_reinit);
+  last_relocation_ = {};
   if (meta.has_window) {
     window_.emplace(meta.window_center, params_.window, domain_.get());
     // Rebuilds the coupling layer / footprint tau from the bulk values in

@@ -10,12 +10,17 @@
 
 namespace apr::core {
 
+namespace {
+
+/// Samples per axis when estimating how much of a box lies inside the
+/// flow domain.
+constexpr int kFillSamples = 4;
+
+}  // namespace
+
 void WindowConfig::validate() const {
   if (proper_side <= 0.0 || onramp_width < 0.0 || insertion_width <= 0.0) {
     throw std::invalid_argument("Window: bad region dimensions");
-  }
-  if (fill_samples < 1) {
-    throw std::invalid_argument("Window: fill_samples must be >= 1");
   }
   const double ratio = outer_side() / insertion_width;
   if (std::abs(ratio - std::round(ratio)) > 1e-9 * ratio) {
@@ -77,14 +82,14 @@ void Window::build_subregions() {
     fill_[i] = box_fill(subregions_[i]);
   }
   // Cache the whole-box fill too: hematocrit() is called every
-  // maintenance pass and the O(fill_samples^3) domain scan would
+  // maintenance pass and the O(kFillSamples^3) domain scan would
   // otherwise repeat on immutable geometry.
   outer_fill_ = box_fill(outer);
 }
 
 double Window::box_fill(const Aabb& box) const {
   if (!domain_) return 1.0;
-  const int n = std::max(1, cfg_.fill_samples);
+  const int n = kFillSamples;
   const Vec3 e = box.extent();
   int inside = 0;
   for (int k = 0; k < n; ++k) {
@@ -182,20 +187,16 @@ int Window::remove_exited_cells(cells::CellPool& rbcs) const {
 cells::SubGrid Window::insertion_grid(const cells::CellPool& rbcs) const {
   const double rmax = rbcs.model().max_radius();
   cells::SubGrid grid(outer_box().inflated(2.0 * rmax),
-                      std::max(insertion_clearance(rmax), rmax / 2.0));
+                      std::max(cells::insertion_clearance(rmax), rmax / 2.0));
   cells::fill_subgrid(grid, {&rbcs});
   return grid;
-}
-
-double Window::insertion_clearance(double rmax) const {
-  return cfg_.min_cell_distance > 0.0 ? cfg_.min_cell_distance : 0.15 * rmax;
 }
 
 int Window::insert_cells(std::vector<cells::Candidate> candidates,
                          cells::SubGrid& grid, cells::CellPool& rbcs) const {
   return cells::add_nonoverlapping(
       std::move(candidates), grid,
-      insertion_clearance(rbcs.model().max_radius()), rbcs);
+      cells::insertion_clearance(rbcs.model().max_radius()), rbcs);
 }
 
 void Window::stamp_tile(const Aabb& box, cells::CellPool& rbcs,

@@ -43,12 +43,6 @@ struct WindowConfig {
   /// threshold * target (threshold < 1 minimizes injection frequency,
   /// paper §3.2).
   double repopulation_threshold = 0.75;
-  /// Minimum vertex-vertex clearance for inserted cells; 0 = derive from
-  /// the RBC size.
-  double min_cell_distance = 0.0;
-  /// Samples per axis when estimating how much of a subregion lies inside
-  /// the flow domain.
-  int fill_samples = 4;
 
   double outer_side() const {
     return proper_side + 2.0 * (onramp_width + insertion_width);
@@ -140,7 +134,7 @@ class Window {
   /// `rbcs`, over the outer box inflated by two cell radii.
   cells::SubGrid insertion_grid(const cells::CellPool& rbcs) const;
 
-  /// Add the candidates that keep the configured clearance from every
+  /// Add the candidates that keep cells::insertion_clearance from every
   /// vertex in `grid` and from each other (cells::add_nonoverlapping);
   /// returns the number added.
   int insert_cells(std::vector<cells::Candidate> candidates,
@@ -169,8 +163,6 @@ class Window {
   double subregion_hematocrit(std::size_t s, const cells::CellPool& rbcs,
                               std::span<const Aabb> cell_boxes) const;
   bool cell_inside_domain(std::span<const Vec3> verts) const;
-  /// Minimum vertex-vertex clearance for cells of radius `rmax`.
-  double insertion_clearance(double rmax) const;
 
   /// Stamp the tile into `box`, keeping in-domain candidates whose
   /// centroid lies in `box` and that clear every vertex in `grid`.

@@ -25,6 +25,11 @@ namespace apr::cells {
 bool overlaps_existing(std::span<const Vec3> vertices, std::uint64_t self_id,
                        const SubGrid& grid, double min_distance);
 
+/// Minimum vertex-vertex clearance between inserted cells whose largest
+/// vertex radius is `rmax`: the one rule behind window fills and refills,
+/// window-move copies, eFSI fills and tile packing.
+inline double insertion_clearance(double rmax) { return 0.15 * rmax; }
+
 /// A candidate cell for batch insertion.
 struct Candidate {
   std::uint64_t id = 0;

@@ -25,7 +25,7 @@ RbcTile RbcTile::generate(const fem::MembraneModel& rbc, double side,
   const double rmax = rbc.max_radius();
   const double margin = std::min(0.75 * rmax, side / 2.0);
 
-  if (min_distance <= 0.0) min_distance = 0.15 * rmax;
+  if (min_distance <= 0.0) min_distance = insertion_clearance(rmax);
 
   const Aabb box = Aabb::cube(Vec3{}, side);
   SubGrid grid(box.inflated(rmax), std::max(min_distance, rmax / 2.0));

@@ -65,50 +65,63 @@ bool Config::has(const std::string& key) const {
   return values_.count(key) != 0;
 }
 
-double Config::get_double(const std::string& key, double fallback) const {
+const std::string* Config::lookup(const std::string& key) const {
   auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  if (it == values_.end()) return nullptr;
+  read_.insert(key);
+  return &it->second;
+}
+
+double Config::get_double(const std::string& key, double fallback) const {
+  const std::string* s = lookup(key);
+  if (!s) return fallback;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(key);
+    const double v = std::stod(*s, &pos);
+    if (pos != s->size()) throw std::invalid_argument(key);
     return v;
   } catch (const std::exception&) {
-    throw std::runtime_error("Config: '" + key + "' is not a number: " +
-                             it->second);
+    throw std::runtime_error("Config: '" + key + "' is not a number: " + *s);
   }
 }
 
 int Config::get_int(const std::string& key, int fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* s = lookup(key);
+  if (!s) return fallback;
   try {
     std::size_t pos = 0;
-    const int v = std::stoi(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(key);
+    const int v = std::stoi(*s, &pos);
+    if (pos != s->size()) throw std::invalid_argument(key);
     return v;
   } catch (const std::exception&) {
     throw std::runtime_error("Config: '" + key + "' is not an integer: " +
-                             it->second);
+                             *s);
   }
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::string v = it->second;
+  const std::string* s = lookup(key);
+  if (!s) return fallback;
+  std::string v = *s;
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::runtime_error("Config: '" + key + "' is not a boolean: " +
-                           it->second);
+  throw std::runtime_error("Config: '" + key + "' is not a boolean: " + *s);
 }
 
 std::string Config::get_string(const std::string& key,
                                const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* s = lookup(key);
+  return s ? *s : fallback;
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> unread;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) unread.push_back(key);
+  }
+  return unread;
 }
 
 void Config::set(const std::string& key, const std::string& value) {

@@ -9,7 +9,9 @@
 /// re-parameterized without recompiling.
 
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace apr {
 
@@ -31,7 +33,8 @@ class Config {
   bool has(const std::string& key) const;
 
   /// Typed getters; return `fallback` when absent, throw
-  /// std::runtime_error when present but unparsable.
+  /// std::runtime_error when present but unparsable. A present key is
+  /// recorded as read (see unread_keys()).
   double get_double(const std::string& key, double fallback) const;
   int get_int(const std::string& key, int fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
@@ -46,8 +49,19 @@ class Config {
   /// run-manifest config echoes.
   const std::map<std::string, std::string>& items() const { return values_; }
 
+  /// Keys present in the deck that no typed getter has read yet, sorted.
+  /// A consumer that has read every key it knows calls this to reject
+  /// misspelled or retired keys instead of silently ignoring them.
+  std::vector<std::string> unread_keys() const;
+
  private:
   std::map<std::string, std::string> values_;
+  /// Keys a getter has returned; bookkeeping only, so the const getters
+  /// may update it.
+  mutable std::set<std::string> read_;
+
+  /// The value of `key` (recorded as read), or nullptr when absent.
+  const std::string* lookup(const std::string& key) const;
 };
 
 }  // namespace apr

@@ -93,17 +93,6 @@ MembraneEnergy MembraneModel::energy(const std::vector<Vec3>& x) const {
   return en;
 }
 
-double MembraneModel::max_i1(const std::vector<Vec3>& x) const {
-  double mx = 0.0;
-  for (std::size_t t = 0; t < ref_.triangles.size(); ++t) {
-    const auto& tr = ref_.triangles[t];
-    const auto inv =
-        strain_invariants(tri_ref_[t], x[tr[0]], x[tr[1]], x[tr[2]]);
-    mx = std::max(mx, inv.i1);
-  }
-  return mx;
-}
-
 MembraneModel::DeformationScan MembraneModel::deformation_scan(
     const std::vector<Vec3>& x) const {
   DeformationScan scan;

@@ -64,15 +64,12 @@ class MembraneModel {
   /// Energy breakdown for configuration `x`.
   MembraneEnergy energy(const std::vector<Vec3>& x) const;
 
-  /// Max strain invariant I1 over elements (deformation diagnostics; used
-  /// by the on-ramp equilibration monitor).
-  double max_i1(const std::vector<Vec3>& x) const;
-
   /// Per-element deformation extrema in one sweep: the largest Skalak I1
   /// and the smallest area stretch det(F), each with its element index.
   /// det(F) is computed in the deformed triangle's own plane, so it stays
   /// non-negative; a collapsed/degenerate element reads as det(F) -> 0.
-  /// Used by the numerical-health watchdog (src/apr/health.hpp).
+  /// Used by the numerical-health watchdog (src/apr/health.hpp) and the
+  /// per-region deformation diagnostics (src/apr/diagnostics.hpp).
   struct DeformationScan {
     double max_i1 = 0.0;
     int max_i1_element = -1;

@@ -12,9 +12,9 @@
 /// A registry renders as one flat JSON object with keys in sorted order
 /// and doubles at %.17g, so identical values produce byte-identical
 /// lines -- the determinism tests compare samples across worker counts
-/// textually. AprSimulation samples its registry on a configurable
-/// cadence (AprParams::obs) into a MetricsWriter, one JSON object per
-/// line (JSONL), which tools/trace_summary --check validates.
+/// textually. AprSimulation samples its registry every coarse step into
+/// the MetricsWriter a driver attaches (attach_metrics_sink), one JSON
+/// object per line (JSONL), which tools/trace_summary --check validates.
 ///
 /// For distributed runs a registry also round-trips through
 /// serialize()/deserialize() (host-byte-order payload, wrapped in

@@ -131,7 +131,7 @@ TEST_F(EfsiTest, SingleRbcInShearDeformsAndConservesVolume) {
   // The membrane strained in the shear flow.
   std::vector<Vec3> x(sim.rbcs().positions(0).begin(),
                       sim.rbcs().positions(0).end());
-  EXPECT_GT(rbc->max_i1(x), 1e-6);
+  EXPECT_GT(rbc->deformation_scan(x).max_i1, 1e-6);
   // And remained finite / inside the box.
   for (const auto& v : x) {
     EXPECT_TRUE(std::isfinite(v.x));

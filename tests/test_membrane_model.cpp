@@ -120,9 +120,9 @@ TEST(MembraneModel, StretchedSphereRelaxesBack) {
 TEST(MembraneModel, MaxI1TracksImposedStretch) {
   const MembraneModel model(mesh::icosphere(2, 1.0), rbc_like_params());
   std::vector<Vec3> x = model.reference().vertices;
-  EXPECT_NEAR(model.max_i1(x), 0.0, 1e-12);
+  EXPECT_NEAR(model.deformation_scan(x).max_i1, 0.0, 1e-12);
   for (auto& v : x) v *= 1.2;  // isotropic: I1 = 2 s^2 - 2 everywhere
-  EXPECT_NEAR(model.max_i1(x), 2.0 * 1.44 - 2.0, 1e-9);
+  EXPECT_NEAR(model.deformation_scan(x).max_i1, 2.0 * 1.44 - 2.0, 1e-9);
 }
 
 TEST(MembraneModel, EnergyBreakdownComponentsActivateIndependently) {

@@ -849,37 +849,40 @@ class ObsSimulationTest : public ::testing::Test {
   static void SetUpTestSuite() { set_log_level(LogLevel::Error); }
 };
 
-TEST_F(ObsSimulationTest, ConstructorFailsFastOnUnwritableMetricsFile) {
-  core::AprParams p = tiny_params();
-  p.obs.metrics_file = "/nonexistent-dir/metrics.jsonl";
-  EXPECT_THROW(
-      core::AprSimulation(tube_domain(), tiny_rbc(), tiny_ctc(), p),
-      std::runtime_error);
-}
-
-TEST_F(ObsSimulationTest, ObsParamsDoNotChangeParamsFingerprint) {
-  core::AprParams a = tiny_params();
+TEST_F(ObsSimulationTest, HealthParamsDoNotChangeParamsFingerprint) {
+  // Run manifests and checkpoints carry this digest: watchdog settings
+  // leave it alone, a trajectory-shaping field moves it.
+  const core::AprParams a = tiny_params();
   core::AprParams b = tiny_params();
-  b.obs.trace_file = "somewhere.json";
-  b.obs.metrics_interval = 50;
+  b.health.enabled = true;
+  b.health.interval = 50;
+  b.health.policy = core::HealthPolicy::Recover;
   EXPECT_EQ(core::params_fingerprint(a), core::params_fingerprint(b));
   b.seed = a.seed + 1;
+  EXPECT_NE(core::params_fingerprint(a), core::params_fingerprint(b));
+  b = a;
+  b.window.repopulation_threshold = 0.5;
   EXPECT_NE(core::params_fingerprint(a), core::params_fingerprint(b));
 }
 
 TEST_F(ObsSimulationTest, StepSamplesMetricsIntoJsonlSink) {
   const std::string path = temp_path("obs_sim_metrics.jsonl");
-  core::AprParams p = tiny_params();
-  p.obs.metrics_file = path;
-  p.obs.metrics_interval = 2;
-  core::AprSimulation sim(tube_domain(), tiny_rbc(), tiny_ctc(), p);
+  core::AprSimulation sim(tube_domain(), tiny_rbc(), tiny_ctc(),
+                          tiny_params());
   sim.initialize_flow(Vec3{});
   sim.coarse().set_periodic(false, false, true);
   sim.place_window(Vec3{});
   sim.place_ctc(Vec3{});
-  sim.run(6);
+  sim.run(2);  // no sink yet: nothing sampled
+  {
+    MetricsWriter sink(path);
+    sim.attach_metrics_sink(&sink);
+    sim.run(3);
+    sim.attach_metrics_sink(nullptr);
+    sim.run(1);  // detached again
+  }
 
-  // interval = 2 over 6 steps -> samples at steps 2, 4, 6.
+  // One sample per coarse step while attached: steps 3, 4, 5.
   std::ifstream is(path);
   std::string line;
   std::vector<double> steps;
@@ -895,12 +898,13 @@ TEST_F(ObsSimulationTest, StepSamplesMetricsIntoJsonlSink) {
     EXPECT_TRUE(v.find("phase.forces.ms") != nullptr);
   }
   ASSERT_EQ(steps.size(), 3u);
-  EXPECT_DOUBLE_EQ(steps[0], 2.0);
-  EXPECT_DOUBLE_EQ(steps[2], 6.0);
+  EXPECT_DOUBLE_EQ(steps[0], 3.0);
+  EXPECT_DOUBLE_EQ(steps[2], 5.0);
 
   // The registry mirrors the last line.
-  EXPECT_DOUBLE_EQ(sim.metrics().gauge("step"), 6.0);
+  EXPECT_DOUBLE_EQ(sim.metrics().gauge("step"), 5.0);
   EXPECT_EQ(sim.metrics().counter("health.scans"), sim.health_scans());
+  std::remove(path.c_str());
 }
 
 TEST_F(ObsSimulationTest, TracedRunEmitsAllStepPhaseSpans) {

@@ -26,8 +26,6 @@ TEST_F(SetupTest, DefaultsMatchDocumentedValues) {
   EXPECT_DOUBLE_EQ(p.window.proper_side, 6.0e-6);
   EXPECT_DOUBLE_EQ(p.window.onramp_width, 2.5e-6);
   EXPECT_DOUBLE_EQ(p.window.insertion_width, 5.5e-6);
-  EXPECT_DOUBLE_EQ(p.window.min_cell_distance, 0.0);
-  EXPECT_EQ(p.window.fill_samples, 4);
   // Default window tiles exactly: outer 22 um = 4 x 5.5 um.
   EXPECT_NO_THROW(p.window.validate());
   EXPECT_DOUBLE_EQ(p.window.target_hematocrit, 0.1);
@@ -44,14 +42,10 @@ TEST_F(SetupTest, WindowConfigRoundTripsAndValidates) {
   cfg.set("window_proper_um", "8");
   cfg.set("onramp_um", "4");
   cfg.set("insertion_um", "4");  // outer 24 = 6 tiles: valid
-  cfg.set("min_cell_distance_um", "0.3");
-  cfg.set("fill_samples", "6");
   const AprParams p = params_from_config(cfg);
   EXPECT_DOUBLE_EQ(p.window.proper_side, 8.0e-6);
   EXPECT_DOUBLE_EQ(p.window.onramp_width, 4.0e-6);
   EXPECT_DOUBLE_EQ(p.window.insertion_width, 4.0e-6);
-  EXPECT_DOUBLE_EQ(p.window.min_cell_distance, 0.3e-6);
-  EXPECT_EQ(p.window.fill_samples, 6);
 
   // A deck whose insertion shell cannot be tiled exactly fails fast in
   // params_from_config, not deep inside Window construction.
@@ -187,6 +181,32 @@ TEST_F(SetupTest, MakeSimulationRunsEndToEnd) {
   sim.run(3);
   EXPECT_EQ(sim.coarse_steps(), 3);
   EXPECT_GT(sim.window_hematocrit(), 0.03);
+}
+
+TEST_F(SetupTest, UnreadKeyIsRejected) {
+  // A misspelled key and a retired one would otherwise fall back to the
+  // defaults without a word; the deck fails closed and names both.
+  Config cfg;
+  cfg.set("target_hematocrit", "0.08");
+  cfg.set("maintain_intervl", "4");
+  cfg.set("obs_metrics_file", "metrics.jsonl");
+  try {
+    make_simulation(cfg);
+    FAIL() << "make_simulation accepted unknown keys";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("maintain_intervl"), std::string::npos) << what;
+    EXPECT_NE(what.find("obs_metrics_file"), std::string::npos) << what;
+    EXPECT_EQ(what.find("target_hematocrit"), std::string::npos) << what;
+  }
+
+  // A driver's own run-control key passes once the driver has read it.
+  Config driver;
+  driver.set("steps", "10");
+  EXPECT_EQ(driver.unread_keys(), std::vector<std::string>{"steps"});
+  EXPECT_EQ(driver.get_int("steps", 0), 10);
+  EXPECT_TRUE(driver.unread_keys().empty());
+  EXPECT_NO_THROW(make_simulation(driver));
 }
 
 TEST_F(SetupTest, DeckFileRoundTrip) {
